@@ -52,6 +52,12 @@ class CircuitParams:
         r = float(self.r)
         if r < 0.0:
             raise ParameterDomainError(f"r must be non-negative, got {r}")
+        if math.tanh(r) == 1.0:
+            raise ParameterDomainError(
+                f"r = {r} is too large: tanh(r) rounds to 1 in double "
+                f"precision, so the squeezed vacuum's normalization "
+                f"1 - tanh(r)^2 vanishes"
+            )
         m = self.m
         if m != int(m) or m < 0:
             raise ParameterDomainError(f"m must be a non-negative integer, got {m}")

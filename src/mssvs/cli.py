@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -301,13 +302,19 @@ def _cmd_point(args) -> int:
         "var_x": None,
         "var_p": None,
         "pnd": None,
+        "pnd_truncated": False,
         "wigner": None,
     }
     if heralded:
         var = observables.variances(params)
         document["var_x"] = var.var_x
         document["var_p"] = var.var_p
-        document["pnd"] = [float(v) for v in observables.pnd_vector(params, args.pnd_max)]
+        pnd = [float(v) for v in observables.pnd_vector(params, args.pnd_max)]
+        document["pnd"] = pnd
+        # An adaptive vector that hit its length cap short of the target mass.
+        document["pnd_truncated"] = (
+            args.pnd_max is None and math.fsum(pnd) < 1.0 - observables.PND_TAIL_TOL
+        )
         if args.wigner_grid:
             extent = args.range
             n = args.wigner_grid

@@ -35,6 +35,9 @@ _PROB_SLACK = 1e-12
 _PND_NEGATIVE_TOL = 1e-10
 _HEISENBERG_TOL = 1e-10
 
+# Probability mass an adaptive photon-number distribution may leave out.
+PND_TAIL_TOL = 1e-10
+
 VACUUM_VARIANCE = 0.5
 
 
@@ -341,7 +344,7 @@ def pnd_vector(
     params: CircuitParams,
     n_max: int | None = None,
     *,
-    tail_tol: float = 1e-10,
+    tail_tol: float = PND_TAIL_TOL,
     n_cap: int = 64,
 ) -> np.ndarray:
     """Photon-number distribution P(0..N).
@@ -349,7 +352,9 @@ def pnd_vector(
     With explicit ``n_max`` the vector has fixed length n_max + 1.
     Otherwise N adapts: it grows until the cumulative probability reaches
     1 - ``tail_tol`` or N hits ``n_cap``, and the vector is trimmed at the
-    first index where the target is met.
+    first index where the target is met. A vector that stops at
+    ``n_cap`` can sum to less than 1 - ``tail_tol``; callers that need
+    the full mass check the sum.
     """
     if n_max is not None:
         return _pnd_values(params, n_max)

@@ -1,11 +1,11 @@
 """Term-by-term symbolic differentiation of polynomial * exp(E).
 
-Test-only reference for the series kernel: repeatedly applies
+Test-only reference for the Taylor-box kernel: repeatedly applies
 
     d/dx_i [ P(x) exp(E(x)) ] = ( dP/dx_i + P dE/dx_i ) exp(E(x))
 
 with P carried as a sparse multivariate polynomial, then evaluates at the
-origin. Independent of the power-series route under test.
+origin. Independent of the recurrence route under test.
 """
 
 from __future__ import annotations
@@ -42,10 +42,33 @@ def poly_diff(p: Poly, var: int) -> Poly:
     return out
 
 
+def monomials(exponent) -> Poly:
+    """Sparse map from exponent multi-index to coefficient of E - c."""
+    n = exponent.n_vars
+    monos: Poly = {}
+
+    def put(powers, coeff):
+        if coeff != 0:
+            monos[tuple(powers)] = monos.get(tuple(powers), 0.0) + coeff
+
+    for i in range(n):
+        powers = [0] * n
+        powers[i] = 1
+        put(powers, exponent.b[i])
+        powers[i] = 2
+        put(powers, exponent.a[i, i] / 2.0)
+        for j in range(i + 1, n):
+            powers = [0] * n
+            powers[i] = 1
+            powers[j] = 1
+            put(powers, exponent.a[i, j])
+    return monos
+
+
 def symbolic_derivative(exponent, orders) -> complex:
     """Mixed partial of exp(E) at the origin by symbolic differentiation."""
     n = exponent.n_vars
-    gradient = [poly_diff(exponent.monomials(), var) for var in range(n)]
+    gradient = [poly_diff(monomials(exponent), var) for var in range(n)]
     prefactor: Poly = {(0,) * n: 1.0}
     for var, order in enumerate(orders):
         for _ in range(order):

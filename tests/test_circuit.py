@@ -67,6 +67,15 @@ class TestCircuitParams:
         with pytest.raises(ParameterDomainError):
             CircuitParams(**kwargs)
 
+    def test_rejects_r_where_tanh_rounds_to_one(self):
+        assert math.tanh(20.0) == 1.0
+        with pytest.raises(ParameterDomainError, match="tanh"):
+            CircuitParams(r=20.0, eta1=0, eta2=0, T=0.9, m=1)
+        with pytest.raises(ParameterDomainError, match="tanh"):
+            CircuitParams(r=math.inf, eta1=0, eta2=0, T=0.9, m=1)
+        assert math.tanh(18.0) < 1.0
+        CircuitParams(r=18.0, eta1=0, eta2=0, T=0.9, m=1)
+
 
 class TestStage1:
     def test_vacuum(self):

@@ -56,6 +56,36 @@ class TestPoint:
         assert code == 2
         assert "T" in err
 
+    def test_saturated_squeezing_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "point", "--r", "20", "--T", "0.9", "--m", "1", "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "tanh" in lines[0]
+
+    def test_truncated_adaptive_pnd_is_flagged(self, capsys):
+        # r = 2, m = 1 reaches the 64-photon cap with 4e-4 of the mass left out
+        code, out, _ = run_cli(
+            capsys, "point", "--r", "2", "--T", "0.9", "--m", "1", "--no-timestamp",
+        )
+        assert code == 0
+        document = json.loads(out)
+        assert len(document["pnd"]) == 65
+        assert math.fsum(document["pnd"]) == pytest.approx(0.9996, abs=1e-4)
+        assert document["pnd_truncated"] is True
+
+    @pytest.mark.parametrize("extra", [(), ("--pnd-max", "8")])
+    def test_complete_or_fixed_pnd_is_not_flagged(self, capsys, extra):
+        code, out, _ = run_cli(
+            capsys, "point", "--r", "0.5", "--T", "0.9", "--m", "1", "--no-timestamp",
+            *extra,
+        )
+        assert code == 0
+        assert json.loads(out)["pnd_truncated"] is False
+
     def test_deterministic(self, capsys):
         args = ("point", "--r", "0.4", "--m", "1", "--T", "0.9", "--no-timestamp")
         _, first, _ = run_cli(capsys, *args)

@@ -76,6 +76,18 @@ class TestOracleEquivalence:
             want = symbolic_derivative(exponent, orders)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    def test_four_variables_with_linear_part(self):
+        # the shape of the moment and photon-number exponents, plus a linear part
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            exponent = random_exponent(rng, 4)
+            orders = tuple(int(k) for k in rng.integers(0, 5, 4))
+            while sum(orders) > 8:
+                orders = tuple(int(k) for k in rng.integers(0, 5, 4))
+            got = extract_derivative(exponent, orders)
+            want = symbolic_derivative(exponent, orders)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
 
 class TestProperties:
     def test_permutation_symmetry(self):
@@ -123,6 +135,14 @@ class TestProperties:
                     * cmath.exp(exponent.c)
                 )
                 assert derivative == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_large_cross_term_box(self):
+        # exp(a x y) has Taylor coefficients delta_kl a^k / k!
+        a = 0.9 - 0.4j
+        exponent = QuadraticExponent([[0, a], [a, 0]], [0, 0])
+        box = taylor_coefficient_box(exponent, (64, 64), max_total_order=128)
+        expected = np.diag([a**k / math.factorial(k) for k in range(65)])
+        np.testing.assert_allclose(box, expected, rtol=1e-13, atol=0)
 
 
 class TestContracts:

@@ -168,6 +168,9 @@ class TestPhotonNumberDistribution:
         params = CircuitParams(0.7, 0, 0, 1.0, 0)
         for n in range(9):
             assert obs.pnd(params, n) == pytest.approx(obs.svs_pnd(0.7, n), abs=1e-12)
+        dist = obs.pnd_vector(params, 120)
+        for n in range(121):
+            assert dist[n] == pytest.approx(obs.svs_pnd(0.7, n), abs=1e-12)
 
     def test_lossless_parity_selection(self):
         odd = obs.pnd_vector(CircuitParams(0.7, 0, 0, 0.9, 1), 9)

@@ -29,10 +29,7 @@ from .errors import (
 )
 from .genfunc import (
     MultiIndex,
-    ParameterizedExponent,
     QuadraticExponent,
-    derivative_in_parameters,
-    extract_derivative,
     taylor_coefficient_box,
 )
 from .observables import (
@@ -75,10 +72,7 @@ __all__ = [
     "ParameterDomainError",
     "UndefinedStateError",
     "MultiIndex",
-    "ParameterizedExponent",
     "QuadraticExponent",
-    "derivative_in_parameters",
-    "extract_derivative",
     "taylor_coefficient_box",
     "QuadratureVariances",
     "SqueezingScan",

@@ -484,46 +484,22 @@ def ladder(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
 
 
-def displacement_matrix(alpha: complex, cutoff: int, method: str = "recurrence") -> np.ndarray:
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Displacement operator exp(alpha a† - alpha* a) on the truncated space.
 
     Entries are the exact infinite-space matrix elements restricted to
     the block (so columns near the cutoff are rows of a longer unitary,
-    not a unitary of the block). The default evaluates each diagonal by
-    the normalized associated-Laguerre three-term recurrence
+    not a unitary of the block). Each diagonal is evaluated by the
+    normalized associated-Laguerre three-term recurrence
 
         u(n+1) = [(2n+k+1-x) u(n) - sqrt(n(n+k)) u(n-1)]
                  / sqrt((n+1)(n+k+1)),   x = |alpha|^2,
 
     which stays at machine precision for the |alpha| and cutoffs used
-    here; "expm" (generator exponentiation, edge-distorted near the
-    cutoff) and "laguerre" (scipy polynomial evaluation) exist for
-    cross-checks.
+    here.
     """
     alpha = complex(alpha)
     d = cutoff
-    if method == "expm":
-        a = ladder(d)
-        return expm(alpha * a.conj().T - alpha.conjugate() * a)
-    if method == "laguerre":
-        from scipy.special import genlaguerre
-
-        out = np.zeros((d, d), dtype=complex)
-        gauss = math.exp(-abs(alpha) ** 2 / 2.0)
-        for row in range(d):
-            for col in range(d):
-                m_, n_ = (row, col) if row >= col else (col, row)
-                arg = alpha if row >= col else -alpha.conjugate()
-                val = (
-                    math.sqrt(math.factorial(n_) / math.factorial(m_))
-                    * arg ** (m_ - n_)
-                    * gauss
-                    * genlaguerre(n_, m_ - n_)(abs(alpha) ** 2)
-                )
-                out[row, col] = val
-        return out
-    if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}")
     if alpha == 0:
         return np.eye(d, dtype=complex)
     x = abs(alpha) ** 2

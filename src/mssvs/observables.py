@@ -3,7 +3,9 @@
 Success probability, normally-ordered moments, quadrature variances,
 photon-number distribution and the Wigner function are all evaluated by
 differentiating exponential-quadratic generating functions built from the
-derived coefficient set of :mod:`mssvs.circuit`. Closed forms for the
+derived coefficient set of :mod:`mssvs.circuit`, read off one genfunc
+Taylor box each. Every public call evaluates that coefficient set once
+and shares it between p_d and the observable. Closed forms for the
 plain squeezed vacuum (the lossless, no-subtraction baseline) live here
 as well.
 """
@@ -19,24 +21,30 @@ from .circuit import CircuitParams, DerivedCoefficients, derived_coefficients
 from .errors import (
     ConvergenceError,
     NumericalConsistencyError,
+    ParameterDomainError,
     UndefinedStateError,
 )
-from .genfunc import (
-    DEFAULT_MAX_TOTAL_ORDER,
-    ParameterizedExponent,
-    QuadraticExponent,
-    derivative_in_parameters,
-    extract_derivative,
-    taylor_coefficient_box,
-)
+from .genfunc import DEFAULT_MAX_TOTAL_ORDER, QuadraticExponent, taylor_coefficient_box
 
 _IMAG_TOL = 1e-10
 _PROB_SLACK = 1e-12
 _PND_NEGATIVE_TOL = 1e-10
 _HEISENBERG_TOL = 1e-10
 
-# Probability mass an adaptive photon-number distribution may leave out.
+# Probability mass an adaptive photon-number distribution may leave out,
+# and the largest photon number it grows to.
 PND_TAIL_TOL = 1e-10
+PND_N_CAP = 64
+
+# Largest n with float(n!) finite; P(n) beyond it cannot be scaled.
+_PND_N_MAX = 170
+
+# Squeezing-threshold search: coarse scan from THRESHOLD_R_MIN in steps of
+# THRESHOLD_SCAN_STEP, then bisection to THRESHOLD_R_TOL.
+THRESHOLD_R_MIN = 1e-4
+THRESHOLD_SCAN_STEP = 0.05
+THRESHOLD_R_TOL = 1e-6
+THRESHOLD_MAX_ITERATIONS = 200
 
 VACUUM_VARIANCE = 0.5
 
@@ -130,71 +138,46 @@ def _pnd_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
     return QuadraticExponent(a, np.zeros(4))
 
 
-def _wigner_parts(dc: DerivedCoefficients):
-    """Derivative family over (mu, nu) and the Gaussian envelope weights."""
-    k9 = dc.kappa9
-    k32_over_k9 = dc.kappa3**2 / k9
-    env_mod = dc.kappa1 / k9 - 1.0 / (2.0 * k9)
-    env_quad = dc.kappa2 / k9
-    cross = (
-        1.0
-        - dc.eps1 / dc.eps4
-        + k32_over_k9
-        * (4.0 * dc.kappa2 * dc.kappa6 + dc.kappa1 * dc.kappa5 - 0.5 * dc.kappa5)
-    )
-    diag = 2.0 * (
-        dc.eps2 / dc.eps4
-        + k32_over_k9 * (0.5 * dc.kappa6 - dc.kappa1 * dc.kappa6 - dc.kappa2 * dc.kappa5)
-    )
-    g8 = env_mod * dc.kappa3 * dc.eps8 - 2.0 * env_quad * dc.kappa3 * dc.eps7
-    g7 = env_mod * dc.kappa3 * dc.eps7 - 2.0 * env_quad * dc.kappa3 * dc.eps8
-    # Parameters are (beta, beta*): mu couples to g7 beta + g8 beta*,
-    # nu couples to g8 beta + g7 beta*.
-    family = ParameterizedExponent(
-        a=[[diag, cross], [cross, diag]],
-        b_base=np.zeros(2),
-        b_linear=[[g7, g8], [g8, g7]],
-    )
-    return family, env_mod, env_quad
-
-
-def success_probability(params: CircuitParams) -> float:
-    """Probability that the detection arm registers exactly m photons."""
-    dc = derived_coefficients(params)
-    m = params.m
-    raw = extract_derivative(_herald_exponent(dc), (m, m))
+def _herald_probability(dc: DerivedCoefficients, m: int) -> float:
+    """p_d from the (m, m) Taylor coefficient of the herald exponent."""
+    box = taylor_coefficient_box(_herald_exponent(dc), (m, m))
+    raw = complex(box[m, m]) * (float(math.factorial(m)) * math.factorial(m))
     value = _real_part(raw, "success probability", _PROB_SLACK)
     value /= math.factorial(m) * math.sqrt(dc.eps4)
     return _clamp_probability(value, "success probability")
 
 
-def _moment_box(params: CircuitParams, k_cap: int, l_cap: int) -> np.ndarray:
+def success_probability(params: CircuitParams) -> float:
+    """Probability that the detection arm registers exactly m photons."""
+    return _herald_probability(derived_coefficients(params), params.m)
+
+
+def _heralded(params: CircuitParams) -> tuple[DerivedCoefficients, float]:
+    """Derived coefficients and p_d of a point whose heralded state exists."""
     dc = derived_coefficients(params)
-    m = params.m
+    pd = _herald_probability(dc, params.m)
+    if pd <= 0.0:
+        raise UndefinedStateError(
+            f"herald probability vanishes at {params}; the conditioned state "
+            f"is undefined"
+        )
+    return dc, pd
+
+
+def _moment_box(dc: DerivedCoefficients, m: int, k_cap: int, l_cap: int) -> np.ndarray:
     caps = (m, m, k_cap, l_cap)
     return taylor_coefficient_box(
         _moment_exponent(dc), caps, max_total_order=max(DEFAULT_MAX_TOTAL_ORDER, sum(caps))
     )
 
 
-def _require_pd(params: CircuitParams) -> float:
-    pd = success_probability(params)
-    if pd <= 0.0:
-        raise UndefinedStateError(
-            f"herald probability vanishes at {params}; the conditioned state "
-            f"is undefined"
-        )
-    return pd
-
-
 def moment(params: CircuitParams, k: int, l: int) -> complex:
     """Normally-ordered moment <a†^k a^l> of the heralded state."""
     if k < 0 or l < 0:
         raise ValueError(f"moment orders must be non-negative, got ({k}, {l})")
-    pd = _require_pd(params)
-    dc = derived_coefficients(params)
+    dc, pd = _heralded(params)
     m = params.m
-    box = _moment_box(params, k, l)
+    box = _moment_box(dc, m, k, l)
     coeff = complex(box[m, m, k, l])
     raw = coeff * math.factorial(m) ** 2 * math.factorial(k) * math.factorial(l)
     return raw / (math.factorial(m) * pd * math.sqrt(dc.eps4))
@@ -207,10 +190,9 @@ def variances(params: CircuitParams) -> QuadratureVariances:
     Var(X) = <a†a> - |<a†>|² + Re(<a†²> - <a†>²) + 1/2 and Var(P) with the
     real part subtracted instead.
     """
-    pd = _require_pd(params)
-    dc = derived_coefficients(params)
+    dc, pd = _heralded(params)
     m = params.m
-    box = _moment_box(params, 2, 2)
+    box = _moment_box(dc, m, 2, 2)
     scale = math.factorial(m) / (pd * math.sqrt(dc.eps4))
     n_mean = complex(box[m, m, 1, 1]) * scale
     adag = complex(box[m, m, 1, 0]) * scale
@@ -237,27 +219,26 @@ def squeezing_threshold_scan(
     eta1: float,
     eta2: float,
     *,
-    r_min: float = 1e-4,
     r_max: float = 3.0,
-    scan_step: float = 0.05,
-    r_tol: float = 1e-6,
-    max_iterations: int = 200,
 ) -> SqueezingScan:
     """Locate the smallest r where Var(P) crosses the vacuum level 1/2.
 
-    A coarse scan brackets the first sign change of Var(P) - 1/2, then
-    bisection refines the root to ``r_tol``. When no sign change exists the
-    scan reports whether the state is squeezed everywhere in (0, r_max]
-    ("always-squeezed") or nowhere ("never-squeezed").
+    A coarse scan from ``THRESHOLD_R_MIN`` in steps of
+    ``THRESHOLD_SCAN_STEP`` brackets the first sign change of
+    Var(P) - 1/2, then bisection refines the root to ``THRESHOLD_R_TOL``.
+    When no sign change exists the scan reports whether the state is
+    squeezed everywhere in (0, r_max] ("always-squeezed") or nowhere
+    ("never-squeezed").
     """
 
     def objective(r: float) -> float:
         return variances(CircuitParams(r, eta1, eta2, T, m)).var_p - VACUUM_VARIANCE
 
-    grid = [r_min]
-    steps = int(round(r_max / scan_step))
+    step = THRESHOLD_SCAN_STEP
+    grid = [THRESHOLD_R_MIN]
+    steps = int(round(r_max / step))
     grid.extend(
-        min(scan_step * i, r_max) for i in range(1, steps + 1) if scan_step * i > r_min
+        min(step * i, r_max) for i in range(1, steps + 1) if step * i > THRESHOLD_R_MIN
     )
     lo = grid[0]
     f_lo = objective(lo)
@@ -278,13 +259,13 @@ def squeezing_threshold_scan(
 
     lo, f_lo, hi, f_hi = bracket
     iterations = 0
-    while hi - lo > r_tol:
+    while hi - lo > THRESHOLD_R_TOL:
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > THRESHOLD_MAX_ITERATIONS:
             raise ConvergenceError(
                 f"bisection for the squeezing threshold did not converge: "
                 f"bracket [{lo}, {hi}], width {hi - lo:.3e} after "
-                f"{max_iterations} iterations"
+                f"{THRESHOLD_MAX_ITERATIONS} iterations"
             )
         mid = 0.5 * (lo + hi)
         f_mid = objective(mid)
@@ -304,16 +285,19 @@ def squeezing_threshold(
     eta2: float,
     *,
     r_max: float = 3.0,
-    r_tol: float = 1e-6,
 ) -> float | None:
     """Threshold squeezing parameter, or None when no crossing exists."""
-    scan = squeezing_threshold_scan(m, T, eta1, eta2, r_max=r_max, r_tol=r_tol)
-    return scan.r_c
+    return squeezing_threshold_scan(m, T, eta1, eta2, r_max=r_max).r_c
 
 
-def _pnd_values(params: CircuitParams, n_max: int) -> np.ndarray:
-    pd = _require_pd(params)
-    dc = derived_coefficients(params)
+def _pnd_values(
+    params: CircuitParams, dc: DerivedCoefficients, pd: float, n_max: int
+) -> np.ndarray:
+    if n_max > _PND_N_MAX:
+        raise ParameterDomainError(
+            f"photon numbers above {_PND_N_MAX} are out of range (n! overflows "
+            f"a float), got n_max = {n_max}"
+        )
     m = params.m
     caps = (m, m, n_max, n_max)
     box = taylor_coefficient_box(
@@ -337,86 +321,68 @@ def pnd(params: CircuitParams, n: int) -> float:
     """Probability of finding n photons in the heralded state."""
     if n < 0:
         raise ValueError(f"photon number must be non-negative, got {n}")
-    return float(_pnd_values(params, n)[n])
+    dc, pd = _heralded(params)
+    return float(_pnd_values(params, dc, pd, n)[n])
 
 
-def pnd_vector(
-    params: CircuitParams,
-    n_max: int | None = None,
-    *,
-    tail_tol: float = PND_TAIL_TOL,
-    n_cap: int = 64,
-) -> np.ndarray:
+def pnd_vector(params: CircuitParams, n_max: int | None = None) -> np.ndarray:
     """Photon-number distribution P(0..N).
 
-    With explicit ``n_max`` the vector has fixed length n_max + 1.
-    Otherwise N adapts: it grows until the cumulative probability reaches
-    1 - ``tail_tol`` or N hits ``n_cap``, and the vector is trimmed at the
-    first index where the target is met. A vector that stops at
-    ``n_cap`` can sum to less than 1 - ``tail_tol``; callers that need
-    the full mass check the sum.
+    With explicit ``n_max`` (at most 170) the vector has fixed length
+    n_max + 1. Otherwise N adapts: it grows until the cumulative
+    probability reaches 1 - ``PND_TAIL_TOL`` or N hits ``PND_N_CAP``, and
+    the vector is trimmed at the first index where the target is met. A
+    vector that stops at ``PND_N_CAP`` can sum to less than
+    1 - ``PND_TAIL_TOL``; callers that need the full mass check the sum.
     """
+    dc, pd = _heralded(params)
     if n_max is not None:
-        return _pnd_values(params, n_max)
+        return _pnd_values(params, dc, pd, n_max)
     size = 16
     while True:
-        size = min(size, n_cap)
-        values = _pnd_values(params, size)
+        size = min(size, PND_N_CAP)
+        values = _pnd_values(params, dc, pd, size)
         cumulative = np.cumsum(values)
-        reached = np.nonzero(cumulative >= 1.0 - tail_tol)[0]
+        reached = np.nonzero(cumulative >= 1.0 - PND_TAIL_TOL)[0]
         if reached.size:
             return values[: reached[0] + 1]
-        if size >= n_cap:
+        if size >= PND_N_CAP:
             return values
         size *= 2
 
 
-def wigner(params: CircuitParams, x: float, y: float) -> WignerPoint:
-    """Wigner function of the heralded state at beta = (x + iy)/sqrt(2)."""
-    pd = _require_pd(params)
-    dc = derived_coefficients(params)
-    m = params.m
-    family, env_mod, env_quad = _wigner_parts(dc)
-    beta = complex(x, y) / math.sqrt(2.0)
-    raw = derivative_in_parameters(family, (m, m), [beta, beta.conjugate()])
-    envelope = math.exp(
-        -env_mod * abs(beta) ** 2 + env_quad * (beta**2 + beta.conjugate() ** 2).real
-    )
-    value = raw * envelope / (math.pi * math.factorial(m) * pd * math.sqrt(dc.eps4 * dc.kappa9))
-    return WignerPoint(x=float(x), y=float(y), w=_real_part(value, "Wigner value", _IMAG_TOL))
+def _wigner_values(params: CircuitParams, beta: np.ndarray) -> np.ndarray:
+    """Wigner function of the heralded state at each entry of a 1-d ``beta``.
 
-
-def wigner_grid(
-    params: CircuitParams,
-    x_range: tuple[float, float],
-    y_range: tuple[float, float],
-    resolution: int,
-) -> list[WignerPoint]:
-    """Wigner function on a rectangular grid, ordered by (x, y) index.
-
-    Evaluates the same formula as :func:`wigner` with the series over
-    (mu, nu) computed once; only the linear couplings depend on beta, so
-    the grid reduces to a polynomial in the two couplings.
+    The Taylor box over (mu, nu) of the beta-independent quadratic part is
+    computed once. Only the linear couplings depend on beta (mu couples to
+    g7 beta + g8 beta*, nu to g8 beta + g7 beta*); they exponentiate into
+    polynomial factors, so each point is a contraction of that box.
     """
-    if resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution}")
-    pd = _require_pd(params)
-    dc = derived_coefficients(params)
+    dc, pd = _heralded(params)
     m = params.m
-    family, env_mod, env_quad = _wigner_parts(dc)
-
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    beta = (gx + 1j * gy).ravel() / math.sqrt(2.0)
-
-    # Taylor box of the beta-independent quadratic part; the linear
-    # couplings exponentiate into polynomial factors combined below.
-    quad_box = taylor_coefficient_box(
-        QuadraticExponent(family.a, np.zeros(2)), (m, m)
+    k9 = dc.kappa9
+    k32_over_k9 = dc.kappa3**2 / k9
+    env_mod = dc.kappa1 / k9 - 1.0 / (2.0 * k9)
+    env_quad = dc.kappa2 / k9
+    cross = (
+        1.0
+        - dc.eps1 / dc.eps4
+        + k32_over_k9
+        * (4.0 * dc.kappa2 * dc.kappa6 + dc.kappa1 * dc.kappa5 - 0.5 * dc.kappa5)
     )
-    b_mu = family.b_linear[0, 0] * beta + family.b_linear[0, 1] * beta.conjugate()
-    b_nu = family.b_linear[1, 0] * beta + family.b_linear[1, 1] * beta.conjugate()
+    diag = 2.0 * (
+        dc.eps2 / dc.eps4
+        + k32_over_k9 * (0.5 * dc.kappa6 - dc.kappa1 * dc.kappa6 - dc.kappa2 * dc.kappa5)
+    )
+    g8 = env_mod * dc.kappa3 * dc.eps8 - 2.0 * env_quad * dc.kappa3 * dc.eps7
+    g7 = env_mod * dc.kappa3 * dc.eps7 - 2.0 * env_quad * dc.kappa3 * dc.eps8
+
+    quad_box = taylor_coefficient_box(
+        QuadraticExponent([[diag, cross], [cross, diag]], np.zeros(2)), (m, m)
+    )
+    b_mu = g7 * beta + g8 * beta.conjugate()
+    b_nu = g8 * beta + g7 * beta.conjugate()
     powers_mu = np.empty((beta.size, m + 1), dtype=complex)
     powers_nu = np.empty((beta.size, m + 1), dtype=complex)
     for d in range(m + 1):
@@ -433,9 +399,31 @@ def wigner_grid(
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if residue > _IMAG_TOL:
         raise NumericalConsistencyError(
-            f"Wigner grid has imaginary residue {residue:.3e} beyond {_IMAG_TOL:.0e}"
+            f"Wigner function has imaginary residue {residue:.3e} beyond {_IMAG_TOL:.0e}"
         )
-    w = values.real.reshape(resolution, resolution)
+    return values.real
+
+
+def wigner(params: CircuitParams, x: float, y: float) -> WignerPoint:
+    """Wigner function of the heralded state at beta = (x + iy)/sqrt(2)."""
+    beta = np.array([complex(x, y) / math.sqrt(2.0)])
+    return WignerPoint(x=float(x), y=float(y), w=float(_wigner_values(params, beta)[0]))
+
+
+def wigner_grid(
+    params: CircuitParams,
+    x_range: tuple[float, float],
+    y_range: tuple[float, float],
+    resolution: int,
+) -> list[WignerPoint]:
+    """Wigner function on a rectangular grid, ordered by (x, y) index."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
+    xs = np.linspace(x_range[0], x_range[1], resolution)
+    ys = np.linspace(y_range[0], y_range[1], resolution)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    beta = (gx + 1j * gy).ravel() / math.sqrt(2.0)
+    w = _wigner_values(params, beta).reshape(resolution, resolution)
     return [
         WignerPoint(x=float(xs[i]), y=float(ys[j]), w=float(w[i, j]))
         for i in range(resolution)
@@ -474,7 +462,8 @@ def svs_moment(r: float, k: int, l: int) -> complex:
     lam = math.tanh(r)
     denom = 1.0 - lam * lam
     a = np.array([[lam / denom, lam**2 / denom], [lam**2 / denom, lam / denom]])
-    return extract_derivative(QuadraticExponent(a, np.zeros(2)), (k, l))
+    box = taylor_coefficient_box(QuadraticExponent(a, np.zeros(2)), (k, l))
+    return complex(box[k, l]) * (float(math.factorial(k)) * math.factorial(l))
 
 
 def svs_mean_photon(r: float) -> float:

@@ -14,10 +14,9 @@ from mssvs.circuit import CircuitParams
 from mssvs import fock_oracle as fo
 from mssvs import observables as obs
 from mssvs import validation
-from mssvs.genfunc import extract_derivative
 
 from symbolic_oracle import symbolic_derivative
-from test_genfunc import random_exponent
+from test_genfunc import derivative, random_exponent
 
 # six normalization witnesses spanning m = 0..3, with and without loss,
 # all of which fit the [-5, 5] phase-space window
@@ -154,7 +153,7 @@ def test_criterion_8_kernel_against_symbolic_oracle():
         orders = tuple(int(k) for k in rng.integers(0, 4, n_vars))
         if sum(orders) > 6:
             continue
-        got = extract_derivative(exponent, orders)
+        got = derivative(exponent, orders)
         want = symbolic_derivative(exponent, orders)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         checked += 1

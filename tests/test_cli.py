@@ -66,6 +66,17 @@ class TestPoint:
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "tanh" in lines[0]
 
+    def test_pnd_max_past_170_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "point", "--r", "1", "--T", "0.9", "--m", "1", "--pnd-max", "180",
+            "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "170" in lines[0]
+
     def test_truncated_adaptive_pnd_is_flagged(self, capsys):
         # r = 2, m = 1 reaches the 64-photon cap with 4e-4 of the mass left out
         code, out, _ = run_cli(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mssvs.circuit import CircuitParams, derived_coefficients
-from mssvs.errors import UndefinedStateError
+from mssvs.errors import ParameterDomainError, UndefinedStateError
 from mssvs import observables as obs
 
 
@@ -196,6 +196,15 @@ class TestPhotonNumberDistribution:
         dist = obs.pnd_vector(CircuitParams(0.5, 0, 0, 0.9, 1), 12)
         assert dist.shape == (13,)
 
+    def test_photon_numbers_past_170_are_a_domain_error(self):
+        # float(n!) overflows from n = 171 on
+        params = CircuitParams(1.0, 0, 0, 0.9, 1)
+        assert obs.pnd_vector(params, 170).shape == (171,)
+        with pytest.raises(ParameterDomainError, match="170"):
+            obs.pnd_vector(params, 171)
+        with pytest.raises(ParameterDomainError, match="170"):
+            obs.pnd(params, 171)
+
 
 class TestWigner:
     def test_svs_origin(self):
@@ -244,3 +253,27 @@ class TestWigner:
         assert obs.wigner(params, 0, 0).w == pytest.approx(
             fo.oracle_wigner(state, 0, 0).w, abs=1e-10
         )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: obs.success_probability(p),
+        lambda p: obs.variances(p),
+        lambda p: obs.moment(p, 1, 2),
+        lambda p: obs.pnd_vector(p, 10),
+        lambda p: obs.wigner(p, 0.3, -0.2),
+        lambda p: obs.wigner_grid(p, (-1, 1), (-1, 1), 3),
+    ],
+    ids=["success_probability", "variances", "moment", "pnd_vector", "wigner", "wigner_grid"],
+)
+def test_one_coefficient_evaluation_per_call(monkeypatch, call):
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return derived_coefficients(params)
+
+    monkeypatch.setattr(obs, "derived_coefficients", counting)
+    call(CircuitParams(0.7, 0.1, 0.1, 0.9, 2))
+    assert len(calls) == 1

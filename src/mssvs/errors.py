@@ -8,15 +8,13 @@ class MssvsError(Exception):
 class CapacityError(MssvsError):
     """A requested derivative order exceeds the configured cap.
 
-    Raised instead of silently truncating; callers may retry with a
-    larger ``max_total_order``.
+    Raised instead of silently truncating. Callers of
+    :func:`mssvs.genfunc.taylor_coefficient_box` may retry with a larger
+    ``max_total_order``; the public observables fix their own cap.
     """
 
     def __init__(self, requested: int, cap: int):
-        super().__init__(
-            f"total derivative order {requested} exceeds the cap {cap}; "
-            f"raise max_total_order to evaluate this derivative"
-        )
+        super().__init__(f"total derivative order {requested} exceeds the cap {cap}")
         self.requested = requested
         self.cap = cap
 

@@ -234,7 +234,9 @@ def _loss_weights(eta: float, length: int, j: int) -> np.ndarray:
     """sqrt(C(p+j, j)) (1-eta)^(p/2) for p = 0..length-1."""
     keep = 1.0 - eta
     p = np.arange(length)
-    combs = np.array([math.comb(int(q) + j, j) for q in p], dtype=float)
+    # C(p+j, j) = C(p-1+j, j) (p+j)/p, from C(j, j) = 1
+    combs = np.ones(length)
+    combs[1:] = np.cumprod((p[1:] + j) / p[1:])
     return np.sqrt(combs) * keep ** (p / 2.0)
 
 
@@ -484,47 +486,60 @@ def ladder(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
 
 
+def _laguerre_columns(alphas: np.ndarray, d: int):
+    """Displacement elements of a batch of points, one column at a time.
+
+    At step n (n = 0..d-1) yields ``(u, phase)``, each of shape
+    (points, d - n), with ``u[p, k] = <n+k|D(alpha_p)|n>`` and
+    ``<n|D(alpha_p)|n+k> = u[p, k] * phase[p, k]``, where
+    ``phase[p, k] = (-alpha_p*/alpha_p)^k`` (1 at alpha_p = 0). Entries
+    are the exact infinite-space matrix elements, evaluated by the
+    normalized associated-Laguerre three-term recurrence in n,
+
+        u(n+1) = [(2n+k+1-x) u(n) - sqrt(n(n+k)) u(n-1)]
+                 / sqrt((n+1)(n+k+1)),   x = |alpha|^2,
+
+    started from <k|D|0> = alpha^k e^{-x/2} / sqrt(k!). It runs on every
+    point and every k at once and stays at machine precision for the
+    |alpha| and cutoffs used here.
+    """
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
+    x = np.abs(alphas) ** 2
+    k = np.arange(d)
+    factors = np.ones((alphas.shape[0], d), dtype=complex)
+    factors[:, 1:] = alphas / np.sqrt(k[1:])
+    current = np.exp(-x / 2.0) * np.cumprod(factors, axis=1)
+    previous = np.zeros_like(current)
+    zero = alphas == 0
+    safe = np.where(zero, 1.0, alphas)
+    mirror = np.where(zero, 1.0, -safe.conjugate() / safe)
+    phase = mirror ** k
+    for n in range(d):
+        width = d - n
+        yield current, phase[:, :width]
+        if width == 1:
+            return
+        kk = k[: width - 1]
+        upcoming = (
+            (2 * n + kk + 1 - x) * current[:, : width - 1]
+            - np.sqrt(n * (n + kk)) * previous[:, : width - 1]
+        ) / np.sqrt((n + 1) * (n + kk + 1))
+        previous, current = current, upcoming
+
+
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Displacement operator exp(alpha a† - alpha* a) on the truncated space.
 
     Entries are the exact infinite-space matrix elements restricted to
     the block (so columns near the cutoff are rows of a longer unitary,
-    not a unitary of the block). Each diagonal is evaluated by the
-    normalized associated-Laguerre three-term recurrence
-
-        u(n+1) = [(2n+k+1-x) u(n) - sqrt(n(n+k)) u(n-1)]
-                 / sqrt((n+1)(n+k+1)),   x = |alpha|^2,
-
-    which stays at machine precision for the |alpha| and cutoffs used
-    here.
+    not a unitary of the block), filled column by column from
+    :func:`_laguerre_columns`.
     """
-    alpha = complex(alpha)
     d = cutoff
-    if alpha == 0:
-        return np.eye(d, dtype=complex)
-    x = abs(alpha) ** 2
     out = np.zeros((d, d), dtype=complex)
-    # subdiagonal k starts at <k|D|0> = alpha^k e^{-x/2} / sqrt(k!)
-    start = np.empty(d, dtype=complex)
-    start[0] = math.exp(-x / 2.0)
-    for k in range(1, d):
-        start[k] = start[k - 1] * alpha / math.sqrt(k)
-    mirror = -alpha.conjugate() / alpha  # <n|D|n+k> = <n+k|D|n> * mirror^k
-    for k in range(d):
-        phase = mirror**k
-        previous = 0.0j
-        current = start[k]
-        out[k, 0] = current
-        if k:
-            out[0, k] = current * phase
-        for n in range(d - 1 - k):
-            upcoming = (
-                (2 * n + k + 1 - x) * current - math.sqrt(n * (n + k)) * previous
-            ) / math.sqrt((n + 1) * (n + k + 1))
-            previous, current = current, upcoming
-            out[n + 1 + k, n + 1] = current
-            if k:
-                out[n + 1, n + 1 + k] = current * phase
+    for n, (u, phase) in enumerate(_laguerre_columns(np.array([alpha]), d)):
+        out[n:, n] = u[0]
+        out[n, n + 1 :] = u[0, 1:] * phase[0, 1:]
     return out
 
 
@@ -582,21 +597,38 @@ def oracle_parity(rho: FockDensity) -> float:
     return float(diag @ signs)
 
 
+def _wigner_values(matrix: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """(2/pi) Re Tr[rho D(2 beta) (-1)^(a†a)] for every beta of a batch.
+
+    Parity conjugates displacements, so the displaced-parity kernel is
+    D(2 beta) times parity; the trace needs the displacement elements
+    only on the state's own support. Each column the recurrence yields
+    is contracted with rho as it is produced, so no displacement matrix
+    is formed.
+    """
+    if matrix.ndim != 2:
+        raise ValueError("Wigner evaluation expects a single-mode state")
+    d = matrix.shape[0]
+    signs = 1.0 - 2.0 * (np.arange(d) % 2)
+    # the kernel's column c carries parity signs[c]: <n+k|D|n> meets
+    # rho[n, n+k] with signs[n], and <n|D|n+k> meets rho[n+k, n] with
+    # signs[n+k], so both read row-signed entries of rho
+    signed = signs[:, None] * matrix
+    total = np.zeros(len(betas), dtype=complex)
+    for n, (u, phase) in enumerate(_laguerre_columns(2.0 * betas, d)):
+        total += u @ signed[n, n:]
+        total += (u[:, 1:] * phase[:, 1:]) @ signed[n + 1 :, n]
+    return (2.0 / math.pi) * total.real
+
+
 def oracle_wigner(rho: FockDensity, x: float, y: float) -> WignerPoint:
     """Wigner value (2/pi) Tr[rho D(beta) (-1)^(a†a) D†(beta)].
 
-    Parity conjugates displacements, so the displaced-parity kernel is
-    D(2 beta) times parity; the trace therefore needs the displacement
-    elements only on the state's own support, with no truncation beyond
-    the state's.
+    A one-point :func:`oracle_wigner_grid`: the same batched evaluation
+    at beta = (x + iy)/sqrt(2).
     """
-    if rho.n_modes != 1:
-        raise ValueError("Wigner evaluation expects a single-mode state")
-    d = rho.cutoffs[0]
     beta = complex(x, y) / math.sqrt(2.0)
-    kernel = displacement_matrix(2.0 * beta, d)
-    signs = 1.0 - 2.0 * (np.arange(d) % 2)
-    w = (2.0 / math.pi) * np.einsum("nm,mn->", rho.matrix, kernel * signs).real
+    w = _wigner_values(rho.matrix, np.array([beta]))[0]
     return WignerPoint(x=float(x), y=float(y), w=float(w))
 
 
@@ -606,10 +638,17 @@ def oracle_wigner_grid(
     y_range: tuple[float, float],
     resolution: int,
 ) -> list[WignerPoint]:
-    """Wigner function on a grid, ordered by (x, y) index."""
+    """Wigner function on a grid, ordered by (x, y) index.
+
+    One displacement recurrence serves the whole grid; its cost is
+    O(points x cutoff^2) time and O(points x cutoff) memory.
+    """
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
-    return [oracle_wigner(rho, float(xv), float(yv)) for xv in xs for yv in ys]
+    coords = [(float(xv), float(yv)) for xv in xs for yv in ys]
+    betas = np.array([complex(xv, yv) / math.sqrt(2.0) for xv, yv in coords])
+    values = _wigner_values(rho.matrix, betas)
+    return [WignerPoint(x=xv, y=yv, w=float(w)) for (xv, yv), w in zip(coords, values)]
 
 
 def fidelity(rho: FockDensity, target: FockState) -> float:

@@ -36,8 +36,9 @@ _HEISENBERG_TOL = 1e-10
 PND_TAIL_TOL = 1e-10
 PND_N_CAP = 64
 
-# Largest n with float(n!) finite; P(n) beyond it cannot be scaled.
-_PND_N_MAX = 170
+# Largest n with float(n!) finite; P(n) and moments of order beyond it
+# cannot be scaled.
+_FACTORIAL_N_MAX = 170
 
 # Squeezing-threshold search: coarse scan from THRESHOLD_R_MIN in steps of
 # THRESHOLD_SCAN_STEP, then bisection to THRESHOLD_R_TOL.
@@ -175,6 +176,11 @@ def moment(params: CircuitParams, k: int, l: int) -> complex:
     """Normally-ordered moment <a†^k a^l> of the heralded state."""
     if k < 0 or l < 0:
         raise ValueError(f"moment orders must be non-negative, got ({k}, {l})")
+    if max(k, l) > _FACTORIAL_N_MAX:
+        raise ParameterDomainError(
+            f"moment orders above {_FACTORIAL_N_MAX} are out of range (k! overflows "
+            f"a float), got ({k}, {l})"
+        )
     dc, pd = _heralded(params)
     m = params.m
     box = _moment_box(dc, m, k, l)
@@ -293,9 +299,9 @@ def squeezing_threshold(
 def _pnd_values(
     params: CircuitParams, dc: DerivedCoefficients, pd: float, n_max: int
 ) -> np.ndarray:
-    if n_max > _PND_N_MAX:
+    if n_max > _FACTORIAL_N_MAX:
         raise ParameterDomainError(
-            f"photon numbers above {_PND_N_MAX} are out of range (n! overflows "
+            f"photon numbers above {_FACTORIAL_N_MAX} are out of range (n! overflows "
             f"a float), got n_max = {n_max}"
         )
     m = params.m

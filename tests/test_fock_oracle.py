@@ -283,6 +283,46 @@ class TestDisplacement:
             assert got == pytest.approx(cf.value(alpha, 0.0), abs=1e-10)
 
 
+def wigner_per_point(rho: fo.FockDensity, x: float, y: float) -> float:
+    """(2/pi) Tr[rho D(2 beta) (-1)^(a†a)] from one full displacement matrix."""
+    d = rho.cutoffs[0]
+    beta = complex(x, y) / math.sqrt(2.0)
+    kernel = fo.displacement_matrix(2.0 * beta, d)
+    signs = 1.0 - 2.0 * (np.arange(d) % 2)
+    return (2.0 / math.pi) * np.einsum("nm,mn->", rho.matrix, kernel * signs).real
+
+
+class TestBatchedOracle:
+    @pytest.fixture(scope="class")
+    def escalated_state(self):
+        result = fo.run_pipeline(CircuitParams(1.0, 0.1, 0.1, 0.97, 3))
+        assert result.cutoff == 188
+        return result.state
+
+    def test_grid_matches_per_point_reference(self, escalated_state):
+        grid = fo.oracle_wigner_grid(escalated_state, (-2, 2), (-1.5, 1.5), 5)
+        assert (grid[12].x, grid[12].y) == (0.0, 0.0)
+        for point in grid:
+            reference = wigner_per_point(escalated_state, point.x, point.y)
+            assert point.w == pytest.approx(reference, abs=1e-13)
+
+    def test_point_is_a_one_point_grid(self, escalated_state):
+        grid = fo.oracle_wigner_grid(escalated_state, (-2, 2), (-1.5, 1.5), 5)
+        for point in (grid[0], grid[7], grid[12]):
+            single = fo.oracle_wigner(escalated_state, point.x, point.y)
+            assert single.w == pytest.approx(point.w, abs=1e-15)
+
+    def test_loss_weights_match_binomials(self):
+        eta = 0.35
+        for j in range(320):
+            length = 320 - j
+            expected = np.array(
+                [math.sqrt(math.comb(p + j, j)) * (1 - eta) ** (p / 2) for p in range(length)]
+            )
+            got = fo._loss_weights(eta, length, j)
+            assert np.max(np.abs(got - expected) / expected) < 1e-13
+
+
 class TestOracleObservables:
     def test_vacuum(self):
         vac = np.zeros((10, 10), dtype=complex)

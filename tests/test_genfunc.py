@@ -8,6 +8,7 @@ import pytest
 
 from mssvs.errors import CapacityError
 from mssvs.genfunc import DEFAULT_MAX_TOTAL_ORDER, QuadraticExponent, taylor_coefficient_box
+from mssvs.observables import svs_moment
 
 from symbolic_oracle import symbolic_derivative
 
@@ -168,6 +169,10 @@ class TestContracts:
         # raising the cap makes the same call valid
         value = derivative(exponent, (40, 40), max_total_order=80)
         assert value == pytest.approx(math.factorial(40), rel=1e-10)
+        # the public observables take no cap, so the message names none
+        with pytest.raises(CapacityError) as info:
+            svs_moment(0.5, 40, 30)
+        assert str(info.value) == "total derivative order 70 exceeds the cap 64"
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):

@@ -90,6 +90,14 @@ class TestMoments:
         with pytest.raises(UndefinedStateError):
             obs.moment(CircuitParams(0, 0, 0, 0.5, 1), 1, 1)
 
+    def test_orders_past_170_are_a_domain_error(self):
+        # float(k!) overflows from k = 171 on
+        params = CircuitParams(0.5, 0.1, 0.1, 0.9, 1)
+        with pytest.raises(ParameterDomainError, match="170"):
+            obs.moment(params, 171, 0)
+        with pytest.raises(ParameterDomainError, match="170"):
+            obs.moment(params, 0, 171)
+
 
 class TestVariances:
     def test_vacuum(self):

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterDomainError
 
@@ -50,7 +53,7 @@ class CircuitParams:
 
     def __post_init__(self):
         r = float(self.r)
-        if r < 0.0:
+        if not r >= 0.0:  # also rejects NaN
             raise ParameterDomainError(f"r must be non-negative, got {r}")
         if math.tanh(r) == 1.0:
             raise ParameterDomainError(
@@ -185,11 +188,12 @@ def stage_cfs(
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
-    """Scalar coefficient set feeding every closed-form observable.
+    """Coefficient set feeding every closed-form observable.
 
-    All 21 entries are plain functions of the circuit parameters; the
-    discriminants eps4, kappa4 and kappa9 must be positive for the
-    heralded-state formulas to be defined.
+    All 21 entries are plain functions of the circuit parameters: floats
+    for one point, arrays for a sequence of points. The discriminants
+    eps4, kappa4 and kappa9 must be positive for the heralded-state
+    formulas to be defined.
     """
 
     lam: float
@@ -215,26 +219,49 @@ class DerivedCoefficients:
     kappa9: float
 
 
-def derived_coefficients(params: CircuitParams) -> DerivedCoefficients:
-    """Evaluate the coefficient set for one parameter point."""
-    lam = math.tanh(params.r)
+def _require_positive(points: tuple[CircuitParams, ...], eps4, kappa4, kappa9) -> None:
+    """Raise for the first point where a discriminant is not positive."""
+    failing = np.asarray((eps4 <= 0.0) | (kappa4 <= 0.0) | (kappa9 <= 0.0)).ravel().nonzero()[0]
+    if failing.size:
+        i = failing[0]
+        for name, value in (("eps4", eps4), ("kappa4", kappa4), ("kappa9", kappa9)):
+            value = np.ravel(value)[i]
+            if value <= 0.0:
+                raise ParameterDomainError(
+                    f"discriminant {name} = {value} is not positive at {points[i]}"
+                )
+
+
+def derived_coefficients(
+    params: CircuitParams | Sequence[CircuitParams],
+) -> DerivedCoefficients:
+    """Evaluate the coefficient set at one point or along a sequence of points.
+
+    For a sequence every field is an array with one entry per point; a
+    failing discriminant raises ``ParameterDomainError`` naming the first
+    point where it fails.
+    """
+    # lam comes from math.tanh, point by point: numpy's vectorized tanh can
+    # differ in the last bit, which high-order Wigner values amplify.
+    if isinstance(params, CircuitParams):
+        points = (params,)
+        lam, eta1, eta2, T = math.tanh(params.r), params.eta1, params.eta2, params.T
+    else:
+        points = tuple(params)
+        columns = np.array([(math.tanh(p.r), p.eta1, p.eta2, p.T) for p in points])
+        lam, eta1, eta2, T = columns.reshape(-1, 4).T
     one_minus_lam2 = 1.0 - lam * lam
-    keep1 = 1.0 - params.eta1
-    keep2 = 1.0 - params.eta2
-    T = params.T
+    keep1 = 1.0 - eta1
+    keep2 = 1.0 - eta2
 
     tau1 = keep1 * T / one_minus_lam2
     tau2 = keep1 * (1.0 - T) / one_minus_lam2
-    tau3 = keep1 * math.sqrt(T * (1.0 - T)) / one_minus_lam2
+    tau3 = keep1 * np.sqrt(T * (1.0 - T)) / one_minus_lam2
 
     eps1 = 1.0 + lam * lam * tau2 * keep2
     eps2 = 0.5 * lam * tau2 * keep2
-    eps3 = lam * tau3 * math.sqrt(keep2)
+    eps3 = lam * tau3 * np.sqrt(keep2)
     eps4 = eps1 * eps1 - 4.0 * eps2 * eps2
-    if eps4 <= 0.0:
-        raise ParameterDomainError(
-            f"discriminant eps4 = {eps4} is not positive at {params}"
-        )
     eps32 = eps3 * eps3
     eps5 = 4.0 * lam * eps2 * eps32 - (1.0 + lam * lam) * eps1 * eps32
     eps6 = (1.0 + lam * lam) * eps2 * eps32 - lam * eps1 * eps32
@@ -245,20 +272,13 @@ def derived_coefficients(params: CircuitParams) -> DerivedCoefficients:
     kappa2 = 0.5 * lam * tau1 + eps6 / eps4
     kappa3 = eps3 / eps4
     kappa4 = kappa1 * kappa1 - 4.0 * kappa2 * kappa2
-    if kappa4 <= 0.0:
-        raise ParameterDomainError(
-            f"discriminant kappa4 = {kappa4} is not positive at {params}"
-        )
     e1sq = eps1 * eps1 + 4.0 * eps2 * eps2
     kappa5 = 8.0 * lam * eps1 * eps2 - (1.0 + lam * lam) * e1sq
     kappa6 = lam * e1sq - 2.0 * (1.0 + lam * lam) * eps1 * eps2
     kappa7 = kappa1 * eps7 - 2.0 * kappa2 * eps8
     kappa8 = kappa1 * eps8 - 2.0 * kappa2 * eps7
     kappa9 = (kappa1 - 0.5) ** 2 - 4.0 * kappa2 * kappa2
-    if kappa9 <= 0.0:
-        raise ParameterDomainError(
-            f"discriminant kappa9 = {kappa9} is not positive at {params}"
-        )
+    _require_positive(points, eps4, kappa4, kappa9)
     return DerivedCoefficients(
         lam=lam,
         tau1=tau1,

@@ -40,6 +40,10 @@ EXIT_CAP = 3
 
 DEFAULT_SWEEP_CAP = 1_000_000
 
+# Taylor-box cells (complex entries) of one batched p_d call in a sweep:
+# 16 MiB, which holds a 51 x 51 map in one call up to m = 19.
+_PD_BATCH_CELLS = 1 << 20
+
 # Least value of each integer sweep option: a photon-number cutoff and a
 # grid side length.
 _INTEGER_OPTIONS = {"pnd.max": 0, "wigner.points": 1}
@@ -51,6 +55,9 @@ class SweepSpecError(MssvsError):
 
 def _fmt(value) -> str:
     """Shortest round-trip decimal form of a cell value."""
+    # Floats (numpy's float64 among them) first: they fill almost every cell.
+    if isinstance(value, float):
+        return repr(float(value))
     if value is None:
         return ""
     if isinstance(value, str):
@@ -189,6 +196,8 @@ def parse_sweep_spec(text: str) -> SweepSpec:
                 options[key] = float(value)
             except ValueError as exc:
                 raise SweepSpecError(f"line {lineno}: {exc}") from exc
+            if not math.isfinite(options[key]):
+                raise SweepSpecError(f"line {lineno}: {key} must be finite, got {value!r}")
             least = _INTEGER_OPTIONS.get(key)
             if least is not None and not (
                 options[key].is_integer() and options[key] >= least
@@ -224,8 +233,17 @@ class ResultTable:
     metadata: list[str] = field(default_factory=list)
 
     def write_csv(self, path: str) -> None:
-        """Write atomically: temp file in the target directory, then rename."""
+        """Write atomically: temp file in the target directory, then rename.
+
+        An existing target that is not a regular file (a directory, a FIFO,
+        a device node) is refused with ``OSError`` instead of being renamed
+        over, as is a target whose directory does not exist.
+        """
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(f"{path} exists and is not a regular file")
         directory = os.path.dirname(os.path.abspath(path)) or "."
+        if not os.path.isdir(directory):
+            raise OSError(f"directory {directory} does not exist")
         handle, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as fh:
@@ -267,22 +285,32 @@ def _threshold_scan(key: tuple) -> observables.SqueezingScan:
     return observables.squeezing_threshold_scan(*key)
 
 
+def _success_column(params: list[CircuitParams]) -> np.ndarray:
+    """p_d of every point: one batched call per distinct m.
+
+    A batch is capped at ``_PD_BATCH_CELLS`` Taylor-box cells, so a large
+    sweep at large m is split rather than allocating one huge box.
+    """
+    pd = np.empty(len(params))
+    rows_by_m: dict[int, list[int]] = {}
+    for i, point in enumerate(params):
+        rows_by_m.setdefault(point.m, []).append(i)
+    for m, rows in rows_by_m.items():
+        size = max(1, _PD_BATCH_CELLS // (m + 1) ** 2)
+        for start in range(0, len(rows), size):
+            batch = rows[start:start + size]
+            pd[batch] = observables.success_probability([params[i] for i in batch])
+    return pd
+
+
 def _evaluate_sweep_point(task) -> list:
     """One sweep row; module-level so process pools can pickle it.
 
-    ``scan`` is the row's precomputed threshold scan, or None when the
-    sweep does not ask for the threshold.
+    ``pd`` is the row's entry of the batched p_d column and ``scan`` its
+    precomputed threshold scan, or None when the sweep does not ask for
+    the threshold. Only variances, pnd and wigner are evaluated here.
     """
-    values, spec_fields, scan = task
-    spec = SweepSpec(**spec_fields)
-    params = CircuitParams(
-        r=values["r"],
-        eta1=values["eta1"],
-        eta2=values["eta2"],
-        T=values["T"],
-        m=int(values["m"]),
-    )
-    pd = observables.success_probability(params)
+    params, spec, scan, pd = task
     heralded = pd > 0.0
     row: list = []
     for name in spec.observables:
@@ -319,6 +347,8 @@ def _cmd_point(args) -> int:
         raise ParameterDomainError(
             f"--wigner-grid must be non-negative (0 for no grid), got {args.wigner_grid}"
         )
+    if not math.isfinite(args.range):
+        raise ParameterDomainError(f"--range must be finite, got {args.range}")
     params = CircuitParams(r=args.r, eta1=args.eta1, eta2=args.eta2, T=args.T, m=args.m)
     pd = observables.success_probability(params)
     heralded = pd > 0.0
@@ -376,15 +406,12 @@ def _cmd_sweep(args) -> int:
         )
         return EXIT_CAP
 
-    spec_fields = {
-        "axes": spec.axes,
-        "fixed": spec.fixed,
-        "observables": spec.observables,
-        "pnd_max": spec.pnd_max,
-        "wigner_range": spec.wigner_range,
-        "wigner_points": spec.wigner_points,
-    }
     points = list(spec.points())
+    params = [
+        CircuitParams(r=v["r"], eta1=v["eta1"], eta2=v["eta2"], T=v["T"], m=int(v["m"]))
+        for v in points
+    ]
+    pd = _success_column(params)
     # r_c does not depend on r: one scan per distinct key, shared by its rows.
     keys = (
         list(dict.fromkeys(map(_threshold_key, points)))
@@ -393,7 +420,10 @@ def _cmd_sweep(args) -> int:
 
     def tasks(scans: list) -> list:
         by_key = dict(zip(keys, scans))
-        return [(values, spec_fields, by_key.get(_threshold_key(values))) for values in points]
+        return [
+            (point, spec, by_key.get(_threshold_key(values)), point_pd)
+            for values, point, point_pd in zip(points, params, pd)
+        ]
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -418,7 +448,11 @@ def _cmd_sweep(args) -> int:
     for values, row in zip(points, results):
         axis_cells = [values[name] for name in axis_names]
         table.rows.append(axis_cells + row)
-    table.write_csv(args.output)
+    try:
+        table.write_csv(args.output)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {count} rows to {args.output}")
     return EXIT_OK
 

@@ -14,7 +14,9 @@ the recursion used for Gaussian Fock amplitudes by Miatto and Quesada
 (Quantum 4, 366, 2020). The kernel fills a dense box of coefficients,
 bounded per variable by the requested orders, directly from G[0] = 1:
 one vectorized slab update per index step, O(n_vars x box size) work and
-prod(k_i + 1) complex entries of memory.
+prod(k_i + 1) complex entries of memory. A batch of exponents that share
+the caps fills one box with a trailing batch axis: the same updates, each
+covering every point.
 
 :func:`taylor_coefficient_box` is the only entry point. A derivative is
 the box entry at its multi-index times prod(k_i!) times exp(c), exact up
@@ -25,6 +27,7 @@ distribution, a Wigner grid) pays for one box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +46,11 @@ _SYMMETRY_RTOL = 1e-9
 class QuadraticExponent:
     """Exponent (1/2) x^T A x + b^T x + c over ``n_vars`` formal variables.
 
-    ``a`` is symmetrized on construction; grossly asymmetric input is
-    rejected rather than silently averaged away.
+    ``a`` has shape ``(n, n)`` and ``b`` shape ``(n,)``, or ``(n, n, N)``
+    and ``(n, N)`` for a batch of N exponents that share the constant
+    ``c``. ``a`` is symmetrized on construction; grossly asymmetric input
+    at any point of the batch is rejected rather than silently averaged
+    away.
     """
 
     a: np.ndarray
@@ -55,15 +61,18 @@ class QuadraticExponent:
         a = np.atleast_2d(np.array(self.a, dtype=complex))
         b = np.atleast_1d(np.array(self.b, dtype=complex))
         n = b.shape[0]
-        if a.shape != (n, n):
+        if a.shape != (n, n) + b.shape[1:]:
             raise ValueError(
-                f"quadratic part must be {n}x{n} to match the linear part, "
-                f"got {a.shape}"
+                f"quadratic part must have shape {(n, n) + b.shape[1:]} to match "
+                f"the linear part, got {a.shape}"
             )
-        scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-        if a.size and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
-            raise ValueError("quadratic coefficient matrix is not symmetric")
-        a = (a + a.T) / 2.0
+        transpose = a.swapaxes(0, 1)
+        if a.size:
+            scale = np.maximum(1.0, abs(a).max(axis=(0, 1)))
+            asymmetry = abs(a - transpose).max(axis=(0, 1))
+            if (asymmetry > _SYMMETRY_RTOL * scale).any():
+                raise ValueError("quadratic coefficient matrix is not symmetric")
+        a = (a + transpose) / 2.0
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -93,21 +102,29 @@ def _hermite_box(a: np.ndarray, b: np.ndarray, caps: MultiIndex) -> np.ndarray:
     Applies the recurrence of the module docstring. Axis i is filled after
     axes 0..i-1, on the slice where every later index is zero, so only
     A_ij with j <= i enter; each new slab k_i = t is one vectorized update.
+    A trailing batch axis of ``a`` and ``b`` rides along as the box's last
+    axis, so one update covers every point; a coefficient that is zero at
+    every point of the batch is skipped.
     """
     n = len(caps)
-    g = np.zeros(tuple(k + 1 for k in caps), dtype=complex)
+    batch = b.shape[1:]
+    g = np.zeros(tuple(k + 1 for k in caps) + batch, dtype=complex)
     g[(0,) * n] = 1.0
+    # Which coefficients are nonzero anywhere in the batch, found once.
+    size = math.prod(batch)
+    b_used = b.reshape(n, size).any(axis=1).tolist()
+    a_used = a.reshape(n, n, size).any(axis=2).tolist()
     for i, cap in enumerate(caps):
         lead = (slice(None),) * i
         # The trailing Ellipsis keeps even a 0-d slab a writable view.
         rest = (0,) * (n - i - 1) + (Ellipsis,)
-        couplings = [(j, a[i, j]) for j in range(i) if a[i, j] != 0]
+        couplings = [(j, a[i, j]) for j in range(i) if a_used[i][j]]
         for t in range(1, cap + 1):
             prev = g[lead + (t - 1,) + rest]
             slab = g[lead + (t,) + rest]
-            if b[i] != 0:
+            if b_used[i]:
                 slab += b[i] * prev
-            if t >= 2 and a[i, i] != 0:
+            if t >= 2 and a_used[i][i]:
                 slab += a[i, i] * g[lead + (t - 2,) + rest]
             for j, coeff in couplings:
                 shift = (slice(None),) * j
@@ -125,10 +142,11 @@ def taylor_coefficient_box(
 
     Entry ``[k1, ..., kn]`` is the series coefficient of x^k, so the
     derivative of exp(E) at the origin is that entry times prod(k_i!)
-    times exp(c). The box costs O(n_vars x prod(caps_i + 1)). Caps whose
-    total exceeds ``max_total_order`` raise :class:`CapacityError` so the
-    caller can raise the cap explicitly instead of receiving a truncated
-    value.
+    times exp(c). A batched exponent gives a box with the batch axis
+    last, entry ``[k1, ..., kn, p]`` belonging to point p. The box costs
+    O(n_vars x prod(caps_i + 1)) per point. Caps whose total exceeds
+    ``max_total_order`` raise :class:`CapacityError` so the caller can
+    raise the cap explicitly instead of receiving a truncated value.
     """
     idx = _validate_orders(caps, exponent.n_vars)
     total = sum(idx)

@@ -13,6 +13,7 @@ as well.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,22 +51,35 @@ THRESHOLD_MAX_ITERATIONS = 200
 VACUUM_VARIANCE = 0.5
 
 
+def _first(mask) -> int | None:
+    """Flat index of the first true entry of ``mask``, or None."""
+    hits = np.asarray(mask).ravel().nonzero()[0]
+    return int(hits[0]) if hits.size else None
+
+
 @dataclass(frozen=True)
 class QuadratureVariances:
-    """Variances of X = (a + a†)/sqrt(2) and P = (a - a†)/(sqrt(2) i)."""
+    """Variances of X = (a + a†)/sqrt(2) and P = (a - a†)/(sqrt(2) i).
 
-    var_x: float
-    var_p: float
+    Floats for one point, arrays for a sequence of points; every entry
+    is checked.
+    """
+
+    var_x: float | np.ndarray
+    var_p: float | np.ndarray
 
     def __post_init__(self):
-        if self.var_x <= 0.0 or self.var_p <= 0.0:
+        i = _first((self.var_x <= 0.0) | (self.var_p <= 0.0))
+        if i is not None:
             raise NumericalConsistencyError(
                 f"quadrature variances must be positive, got "
-                f"({self.var_x}, {self.var_p})"
+                f"({np.ravel(self.var_x)[i]}, {np.ravel(self.var_p)[i]})"
             )
-        if self.var_x * self.var_p < 0.25 - _HEISENBERG_TOL:
+        product = self.var_x * self.var_p
+        i = _first(product < 0.25 - _HEISENBERG_TOL)
+        if i is not None:
             raise NumericalConsistencyError(
-                f"uncertainty product {self.var_x * self.var_p} violates the "
+                f"uncertainty product {np.ravel(product)[i]} violates the "
                 f"Heisenberg bound 1/4"
             )
 
@@ -79,43 +93,56 @@ class WignerPoint:
     w: float
 
 
-def _real_part(value: complex, what: str, tol: float) -> float:
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > tol * scale:
+def _real_part(value, what: str, tol: float):
+    """Real part of a complex value or array, checked entry by entry."""
+    i = _first(abs(value.imag) > tol * np.maximum(1.0, abs(value)))
+    if i is not None:
         raise NumericalConsistencyError(
-            f"{what} has imaginary residue {value.imag:.3e} beyond {tol:.0e}"
+            f"{what} has imaginary residue {np.ravel(value.imag)[i]:.3e} beyond {tol:.0e}"
         )
     return value.real
 
 
-def _clamp_probability(value: float, what: str) -> float:
-    if -_PROB_SLACK <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + _PROB_SLACK:
-        return 1.0
-    if value < 0.0 or value > 1.0:
-        raise NumericalConsistencyError(f"{what} = {value} is outside [0, 1]")
-    return value
+def _clamp_probability(value, what: str):
+    """Clamp rounding noise within ``_PROB_SLACK`` of [0, 1], entry by entry."""
+    i = _first((value < -_PROB_SLACK) | (value > 1.0 + _PROB_SLACK))
+    if i is not None:
+        raise NumericalConsistencyError(
+            f"{what} = {np.ravel(value)[i]} is outside [0, 1]"
+        )
+    return np.minimum(np.maximum(value, 0.0), 1.0)
+
+
+def _photon_count(params: CircuitParams | Sequence[CircuitParams]) -> int:
+    """The heralded m of a point, or the one m a sequence of points shares."""
+    if isinstance(params, CircuitParams):
+        return params.m
+    if not isinstance(params, Sequence):
+        raise TypeError(f"expected a CircuitParams or a sequence of them, got {type(params)}")
+    counts = sorted({p.m for p in params})
+    if len(counts) > 1:
+        raise ValueError(f"a sequence of points must share one m, got m = {counts}")
+    return counts[0] if counts else 0
 
 
 def _herald_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
     """Generating exponent in (mu, nu) for the detection probability."""
     cross = 1.0 - dc.eps1 / dc.eps4
     diag = 2.0 * dc.eps2 / dc.eps4
-    return QuadraticExponent([[diag, cross], [cross, diag]], [0.0, 0.0])
+    return QuadraticExponent([[diag, cross], [cross, diag]], np.zeros((2,) + np.shape(cross)))
 
 
 def _moment_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
     """Generating exponent in (mu, nu, f, g) for normally-ordered moments."""
-    a = np.zeros((4, 4))
-    a[0, 1] = 1.0 - dc.eps1 / dc.eps4
+    batch = np.shape(dc.eps4)
+    a = np.zeros((4, 4) + batch)
+    a[0, 1] = a[1, 0] = 1.0 - dc.eps1 / dc.eps4
     a[0, 0] = a[1, 1] = 2.0 * dc.eps2 / dc.eps4
-    a[0, 2] = a[1, 3] = dc.eps3 * dc.eps7 / dc.eps4
-    a[1, 2] = a[0, 3] = dc.eps3 * dc.eps8 / dc.eps4
-    a[2, 3] = dc.lam**2 * dc.tau1 + dc.eps5 / dc.eps4
+    a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = dc.eps3 * dc.eps7 / dc.eps4
+    a[1, 2] = a[2, 1] = a[0, 3] = a[3, 0] = dc.eps3 * dc.eps8 / dc.eps4
+    a[2, 3] = a[3, 2] = dc.lam**2 * dc.tau1 + dc.eps5 / dc.eps4
     a[2, 2] = a[3, 3] = dc.lam * dc.tau1 + 2.0 * dc.eps6 / dc.eps4
-    a = a + np.triu(a, 1).T
-    return QuadraticExponent(a, np.zeros(4))
+    return QuadraticExponent(a, np.zeros((4,) + batch))
 
 
 def _pnd_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
@@ -139,27 +166,38 @@ def _pnd_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
     return QuadraticExponent(a, np.zeros(4))
 
 
-def _herald_probability(dc: DerivedCoefficients, m: int) -> float:
+def _herald_probability(dc: DerivedCoefficients, m: int):
     """p_d from the (m, m) Taylor coefficient of the herald exponent."""
     box = taylor_coefficient_box(_herald_exponent(dc), (m, m))
-    raw = complex(box[m, m]) * (float(math.factorial(m)) * math.factorial(m))
+    raw = box[m, m] * (float(math.factorial(m)) * math.factorial(m))
     value = _real_part(raw, "success probability", _PROB_SLACK)
-    value /= math.factorial(m) * math.sqrt(dc.eps4)
+    value = value / (float(math.factorial(m)) * np.sqrt(dc.eps4))
     return _clamp_probability(value, "success probability")
 
 
-def success_probability(params: CircuitParams) -> float:
-    """Probability that the detection arm registers exactly m photons."""
-    return _herald_probability(derived_coefficients(params), params.m)
+def success_probability(
+    params: CircuitParams | Sequence[CircuitParams],
+) -> float | np.ndarray:
+    """Probability that the detection arm registers exactly m photons.
+
+    One point gives a float. A sequence of points that share m gives an
+    array with one entry per point, from one coefficient evaluation and
+    one Taylor box; points with different m raise ``ValueError``.
+    """
+    m = _photon_count(params)
+    pd = _herald_probability(derived_coefficients(params), m)
+    return float(pd) if isinstance(params, CircuitParams) else pd
 
 
-def _heralded(params: CircuitParams) -> tuple[DerivedCoefficients, float]:
-    """Derived coefficients and p_d of a point whose heralded state exists."""
+def _heralded(params: CircuitParams | Sequence[CircuitParams]):
+    """Derived coefficients and p_d of points whose heralded state exists."""
     dc = derived_coefficients(params)
-    pd = _herald_probability(dc, params.m)
-    if pd <= 0.0:
+    pd = _herald_probability(dc, _photon_count(params))
+    i = _first(pd <= 0.0)
+    if i is not None:
+        point = params if isinstance(params, CircuitParams) else params[i]
         raise UndefinedStateError(
-            f"herald probability vanishes at {params}; the conditioned state "
+            f"herald probability vanishes at {point}; the conditioned state "
             f"is undefined"
         )
     return dc, pd
@@ -189,21 +227,22 @@ def moment(params: CircuitParams, k: int, l: int) -> complex:
     return raw / (math.factorial(m) * pd * math.sqrt(dc.eps4))
 
 
-def variances(params: CircuitParams) -> QuadratureVariances:
+def variances(params: CircuitParams | Sequence[CircuitParams]) -> QuadratureVariances:
     """Quadrature variances of the heralded state.
 
     Assembled from <a†a>, <a†> and <a†²> as
     Var(X) = <a†a> - |<a†>|² + Re(<a†²> - <a†>²) + 1/2 and Var(P) with the
-    real part subtracted instead.
+    real part subtracted instead. A sequence of points that share m gives
+    array fields, one entry per point, from one Taylor box.
     """
     dc, pd = _heralded(params)
-    m = params.m
+    m = _photon_count(params)
     box = _moment_box(dc, m, 2, 2)
-    scale = math.factorial(m) / (pd * math.sqrt(dc.eps4))
-    n_mean = complex(box[m, m, 1, 1]) * scale
-    adag = complex(box[m, m, 1, 0]) * scale
-    adag2 = complex(box[m, m, 2, 0]) * 2.0 * scale
-    base = n_mean - abs(adag) ** 2
+    scale = float(math.factorial(m)) / (pd * np.sqrt(dc.eps4))
+    n_mean = box[m, m, 1, 1] * scale
+    adag = box[m, m, 1, 0] * scale
+    adag2 = box[m, m, 2, 0] * 2.0 * scale
+    base = n_mean - np.abs(adag) ** 2
     shift = adag2 - adag**2
     var_x = _real_part(base + shift + VACUUM_VARIANCE, "Var(X)", _IMAG_TOL)
     var_p = _real_part(base - shift + VACUUM_VARIANCE, "Var(P)", _IMAG_TOL)
@@ -229,9 +268,10 @@ def squeezing_threshold_scan(
 ) -> SqueezingScan:
     """Locate the smallest r where Var(P) crosses the vacuum level 1/2.
 
-    A coarse scan from ``THRESHOLD_R_MIN`` in steps of
-    ``THRESHOLD_SCAN_STEP`` brackets the first sign change of
-    Var(P) - 1/2, then bisection refines the root to ``THRESHOLD_R_TOL``.
+    A coarse grid from ``THRESHOLD_R_MIN`` in steps of
+    ``THRESHOLD_SCAN_STEP``, ending at ``r_max`` itself, is evaluated in
+    one batched ``variances`` call; its first sign change of Var(P) - 1/2
+    brackets the root, then bisection refines it to ``THRESHOLD_R_TOL``.
     When no sign change exists the scan reports whether the state is
     squeezed everywhere in (0, r_max] ("always-squeezed") or nowhere
     ("never-squeezed"). An ``r_max`` that leaves nothing to scan above
@@ -247,18 +287,15 @@ def squeezing_threshold_scan(
         return variances(CircuitParams(r, eta1, eta2, T, m)).var_p - VACUUM_VARIANCE
 
     step = THRESHOLD_SCAN_STEP
-    grid = [THRESHOLD_R_MIN]
-    steps = int(round(r_max / step))
-    grid.extend(
-        min(step * i, r_max) for i in range(1, steps + 1) if step * i > THRESHOLD_R_MIN
-    )
-    lo = grid[0]
-    f_lo = objective(lo)
+    inner = (step * i for i in range(1, math.ceil(r_max / step) + 1))
+    grid = [THRESHOLD_R_MIN, *(r for r in inner if THRESHOLD_R_MIN < r < r_max), r_max]
+    points = [CircuitParams(r, eta1, eta2, T, m) for r in grid]
+    values = variances(points).var_p - VACUUM_VARIANCE
+    lo, f_lo = grid[0], values[0]
     if f_lo == 0.0:
         return SqueezingScan(r_c=lo, status="threshold", r_max=r_max)
     bracket = None
-    for hi in grid[1:]:
-        f_hi = objective(hi)
+    for hi, f_hi in zip(grid[1:], values[1:]):
         if f_hi == 0.0:
             return SqueezingScan(r_c=hi, status="threshold", r_max=r_max)
         if f_lo * f_hi < 0.0:

@@ -61,6 +61,7 @@ class TestCircuitParams:
             dict(r=0.5, eta1=0, eta2=1.3, T=0.5, m=0),
             dict(r=0.5, eta1=0, eta2=0, T=2.0, m=0),
             dict(r=0.5, eta1=0, eta2=0, T=0.5, m=-1),
+            dict(r=math.nan, eta1=0, eta2=0, T=0.5, m=1),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs):

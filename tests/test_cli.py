@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
+import stat
 
 import pytest
 
 from mssvs import observables
 from mssvs.circuit import CircuitParams
-from mssvs.cli import main, parse_sweep_spec, SweepSpecError
+from mssvs.cli import main, parse_sweep_spec, ResultTable, SweepSpecError
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +92,18 @@ class TestPoint:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and option in lines[0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_range_is_a_usage_error(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "point", "--r", "1", "--T", "0.9", "--m", "1", "--wigner-grid", "2",
+            f"--range={value}", "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "--range" in lines[0]
 
     def test_wigner_grid_zero_is_no_grid(self, capsys):
         code, out, _ = run_cli(
@@ -305,7 +319,9 @@ class TestSweep:
         assert "line 1" in err
 
     @pytest.mark.parametrize(
-        "option", ["pnd.max = -1", "pnd.max = 2.7", "wigner.points = 0", "wigner.points = 2.5"]
+        "option",
+        ["pnd.max = -1", "pnd.max = 2.7", "wigner.points = 0", "wigner.points = 2.5",
+         "wigner.range = nan", "wigner.range = inf", "wigner.range = -inf"],
     )
     def test_bad_option_is_a_parse_error(self, tmp_path, capsys, option):
         spec = self.write_spec(
@@ -322,6 +338,65 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0].startswith("error: line 7:")
         assert option.split(" = ")[0] in lines[0]
+        assert not (tmp_path / "x.csv").exists()
+
+    def prob_spec(self, tmp_path):
+        return self.write_spec(
+            tmp_path,
+            "axis.eta1 = 0:1:5\naxis.m = 1,2\nfixed.r = 0.6\nfixed.eta2 = 0.1\n"
+            "fixed.T = 0.9\nobservables = prob\n",
+        )
+
+    def test_refuses_a_target_that_is_not_a_regular_file(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match="not a regular file"):
+            ResultTable(columns=["a"]).write_csv(str(fifo))
+        code, out, err = run_cli(
+            capsys, "sweep", self.prob_spec(tmp_path), "-o", str(fifo), "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.csv", "sweep.spec"]
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", self.prob_spec(tmp_path), "-o", str(target), "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "missing" in lines[0]
+
+    def test_prob_column_is_one_call_per_m(self, tmp_path, capsys, monkeypatch):
+        original = observables.success_probability
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(observables, "success_probability", counting)
+        for name in ("variances", "pnd_vector", "wigner", "wigner_array"):
+            monkeypatch.setattr(observables, name, lambda *a, **k: pytest.fail("per-row call"))
+        out_path = str(tmp_path / "map.csv")
+        code, _, _ = run_cli(
+            capsys, "sweep", self.prob_spec(tmp_path), "-o", out_path, "--no-timestamp"
+        )
+        assert code == 0
+        assert [[p.m for p in batch] for batch in calls] == [[1] * 5, [2] * 5]
+        rows = [
+            line.split(",") for line in open(out_path).read().splitlines()
+            if line and not line.startswith(("#", "eta1,"))
+        ]
+        assert len(rows) == 10
+        for eta1, m, pd in rows:
+            want = original(CircuitParams(0.6, float(eta1), 0.1, 0.9, int(float(m))))
+            assert float(pd) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_cap_exceeded_exit(self, tmp_path, capsys):
         spec = self.write_spec(

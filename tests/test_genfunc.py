@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from mssvs import observables as obs
+from mssvs.circuit import CircuitParams, derived_coefficients
 from mssvs.errors import CapacityError
 from mssvs.genfunc import DEFAULT_MAX_TOTAL_ORDER, QuadraticExponent, taylor_coefficient_box
 from mssvs.observables import svs_moment
@@ -21,6 +23,45 @@ def derivative(exponent, orders, max_total_order=DEFAULT_MAX_TOTAL_ORDER):
     for k in orders:
         scale *= math.factorial(k)
     return complex(box[orders]) * scale * cmath.exp(exponent.c)
+
+
+def reference_hermite_box(a, b, caps):
+    """The unbatched kernel: one exponent, each zero coefficient skipped.
+
+    The batched kernel must reproduce it entry for entry at every point.
+    """
+    n = len(caps)
+    g = np.zeros(tuple(k + 1 for k in caps), dtype=complex)
+    g[(0,) * n] = 1.0
+    for i, cap in enumerate(caps):
+        lead = (slice(None),) * i
+        rest = (0,) * (n - i - 1) + (Ellipsis,)
+        couplings = [(j, a[i, j]) for j in range(i) if a[i, j] != 0]
+        for t in range(1, cap + 1):
+            prev = g[lead + (t - 1,) + rest]
+            slab = g[lead + (t,) + rest]
+            if b[i] != 0:
+                slab += b[i] * prev
+            if t >= 2 and a[i, i] != 0:
+                slab += a[i, i] * g[lead + (t - 2,) + rest]
+            for j, coeff in couplings:
+                shift = (slice(None),) * j
+                slab[shift + (slice(1, None),)] += coeff * prev[shift + (slice(None, -1),)]
+            slab /= t
+    return g
+
+
+def circuit_points(m, count=40, seed=31):
+    """Seeded points plus the edges eta = 1, T = 0, T = 1 and r = 0."""
+    rng = np.random.default_rng(seed + m)
+    points = [
+        CircuitParams(rng.uniform(0, 1.5), rng.uniform(0, 0.5), rng.uniform(0, 0.5),
+                      rng.uniform(0, 1), m)
+        for _ in range(count)
+    ]
+    edges = [(0.7, 1.0, 0.1, 0.9), (0.7, 0.1, 1.0, 0.9), (0.7, 0.1, 0.1, 0.0),
+             (0.7, 0.1, 0.1, 1.0), (0.0, 0.1, 0.1, 0.9), (0.7, 0.0, 0.0, 0.9)]
+    return points + [CircuitParams(*edge, m) for edge in edges]
 
 
 def random_exponent(rng, n_vars, with_linear=True, with_constant=True):
@@ -148,6 +189,55 @@ class TestProperties:
         box = taylor_coefficient_box(exponent, (64, 64), max_total_order=128)
         expected = np.diag([a**k / math.factorial(k) for k in range(65)])
         np.testing.assert_allclose(box, expected, rtol=1e-13, atol=0)
+
+
+class TestBatchedBox:
+    def assert_matches_reference(self, exponent, caps):
+        box = taylor_coefficient_box(exponent, caps, max_total_order=sum(caps))
+        assert box.shape == tuple(k + 1 for k in caps) + exponent.b.shape[1:]
+        for p in range(box.shape[-1]):
+            want = reference_hermite_box(exponent.a[..., p], exponent.b[..., p], caps)
+            np.testing.assert_array_equal(box[..., p], want)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_herald_boxes(self, m):
+        dc = derived_coefficients(circuit_points(m))
+        self.assert_matches_reference(obs._herald_exponent(dc), (m, m))
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_moment_boxes(self, m):
+        dc = derived_coefficients(circuit_points(m, count=10))
+        self.assert_matches_reference(obs._moment_exponent(dc), (m, m, 2, 2))
+
+    def test_zero_coefficients_at_some_points(self):
+        # a coefficient that is zero at one point but not at another is
+        # applied to the whole batch; the zero points must not change
+        rng = np.random.default_rng(41)
+        exponents = [random_exponent(rng, 4, with_constant=False) for _ in range(6)]
+        a = np.stack([e.a for e in exponents], axis=-1).copy()
+        b = np.stack([e.b for e in exponents], axis=-1).copy()
+        a[1, 0, :3] = a[0, 1, :3] = 0.0
+        a[2, 2, ::2] = 0.0
+        b[3, 1:4] = 0.0
+        b[0, :] = 0.0
+        self.assert_matches_reference(QuadraticExponent(a, b), (3, 2, 4, 2))
+
+    def test_single_point_batch(self):
+        rng = np.random.default_rng(42)
+        exponent = random_exponent(rng, 3, with_constant=False)
+        batch = QuadraticExponent(exponent.a[..., None], exponent.b[..., None])
+        box = taylor_coefficient_box(batch, (2, 3, 1))
+        np.testing.assert_array_equal(box[..., 0], taylor_coefficient_box(exponent, (2, 3, 1)))
+
+    def test_asymmetric_point_rejected(self):
+        a = np.zeros((2, 2, 3))
+        a[0, 1, 1] = 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            QuadraticExponent(a, np.zeros((2, 3)))
+
+    def test_batch_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="shape"):
+            QuadraticExponent(np.zeros((2, 2, 3)), np.zeros((2, 4)))
 
 
 class TestContracts:

@@ -9,6 +9,16 @@ from mssvs.circuit import CircuitParams, derived_coefficients
 from mssvs.errors import ParameterDomainError, UndefinedStateError
 from mssvs import observables as obs
 
+from test_genfunc import circuit_points
+
+
+def assert_same_number(got, want):
+    """Relative 1e-12, or absolute 1e-15 for values below 1e-3."""
+    if max(abs(got), abs(want)) < 1e-3:
+        assert abs(got - want) <= 1e-15, (got, want)
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0), (got, want)
+
 
 class TestSuccessProbability:
     def test_vacuum_heralded_on_zero(self):
@@ -160,6 +170,24 @@ class TestSqueezingThreshold:
         var = obs.variances(CircuitParams(r_c, 0, 0, 0.9, 1))
         assert var.var_p == pytest.approx(0.5, abs=1e-5)
 
+    @pytest.mark.parametrize("r_max", [0.02, 0.07, 0.12, 3.0])
+    def test_coarse_grid_is_one_batch_ending_at_r_max(self, monkeypatch, r_max):
+        original = obs.variances
+        batches = []
+
+        def recording(params):
+            if not isinstance(params, CircuitParams):
+                batches.append([p.r for p in params])
+            return original(params)
+
+        monkeypatch.setattr(obs, "variances", recording)
+        scan = obs.squeezing_threshold_scan(1, 0.9, 0.0, 0.0, r_max=r_max)
+        assert len(batches) == 1
+        grid = batches[0]
+        assert grid[0] == obs.THRESHOLD_R_MIN and grid[-1] == r_max
+        assert all(0 < b - a <= obs.THRESHOLD_SCAN_STEP + 1e-12 for a, b in zip(grid, grid[1:]))
+        assert scan.status == ("threshold" if r_max > 0.7 else "never-squeezed")
+
     @pytest.mark.parametrize("r_max", [-1.0, 0.0, obs.THRESHOLD_R_MIN, math.nan, math.inf])
     def test_unscanned_range_is_a_domain_error(self, r_max):
         # nothing above THRESHOLD_R_MIN is searched, so no status can be reported
@@ -278,19 +306,65 @@ class TestWigner:
         )
 
 
+class TestBatchedPoints:
+    @pytest.mark.parametrize("m", range(9))
+    def test_success_probability_matches_per_point(self, m):
+        points = circuit_points(m)
+        batch = obs.success_probability(points)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(points),)
+        for point, value in zip(points, batch):
+            assert_same_number(value, obs.success_probability(point))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_variances_match_per_point(self, m):
+        points = [p for p in circuit_points(m, count=12) if obs.success_probability(p) > 0]
+        batch = obs.variances(points)
+        for i, point in enumerate(points):
+            single = obs.variances(point)
+            assert_same_number(batch.var_x[i], single.var_x)
+            assert_same_number(batch.var_p[i], single.var_p)
+
+    def test_point_gives_a_float(self):
+        assert type(obs.success_probability(CircuitParams(0.7, 0.1, 0.1, 0.9, 2))) is float
+
+    def test_mixed_m_is_rejected(self):
+        points = [CircuitParams(0.7, 0.1, 0.1, 0.9, 1), CircuitParams(0.7, 0.1, 0.1, 0.9, 2)]
+        with pytest.raises(ValueError, match="share one m"):
+            obs.success_probability(points)
+
+    def test_failing_discriminant_in_a_batch(self):
+        bad = CircuitParams(9.5, 0.0, 0.0, 0.5, 1)  # kappa9 < 0 in double precision
+        with pytest.raises(ParameterDomainError) as scalar:
+            obs.success_probability(bad)
+        good = CircuitParams(0.7, 0.1, 0.1, 0.9, 1)
+        with pytest.raises(ParameterDomainError) as batch:
+            obs.success_probability([good, bad, good])
+        assert str(batch.value) == str(scalar.value)
+
+    def test_undefined_state_in_a_batch(self):
+        points = [CircuitParams(0.7, 0.1, 0.1, 0.9, 1), CircuitParams(0.7, 1.0, 0.1, 0.9, 1)]
+        with pytest.raises(UndefinedStateError, match="eta1=1.0"):
+            obs.variances(points)
+
+    def test_empty_sequence(self):
+        assert obs.success_probability([]).shape == (0,)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda p: obs.success_probability(p),
+        lambda p: obs.success_probability([p, p, p]),
         lambda p: obs.variances(p),
+        lambda p: obs.variances([p, p]),
         lambda p: obs.moment(p, 1, 2),
         lambda p: obs.pnd_vector(p, 10),
         lambda p: obs.wigner(p, 0.3, -0.2),
         lambda p: obs.wigner_grid(p, (-1, 1), (-1, 1), 3),
         lambda p: obs.wigner_array(p, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3)),
     ],
-    ids=["success_probability", "variances", "moment", "pnd_vector", "wigner", "wigner_grid",
-         "wigner_array"],
+    ids=["success_probability", "success_probability_batch", "variances", "variances_batch",
+         "moment", "pnd_vector", "wigner", "wigner_grid", "wigner_array"],
 )
 def test_one_coefficient_evaluation_per_call(monkeypatch, call):
     calls = []

@@ -27,9 +27,29 @@ import numpy as np
 from .errors import ParameterDomainError
 
 
-def _check_unit_interval(name: str, value: float) -> float:
+def check_parameter(name: str, value):
+    """The value of circuit parameter ``name``, checked against its domain.
+
+    r is non-negative with tanh(r) below 1 in double precision; m is a
+    non-negative integer (returned as int); every other name (eta1, eta2,
+    T) is a loss factor or transmissivity in [0, 1]. A value outside its
+    domain raises :class:`ParameterDomainError`.
+    """
+    if name == "m":
+        if not (value >= 0 and value % 1 == 0):  # also rejects NaN and inf
+            raise ParameterDomainError(f"m must be a non-negative integer, got {value}")
+        return int(value)
     value = float(value)
-    if not 0.0 <= value <= 1.0:
+    if name == "r":
+        if not value >= 0.0:  # also rejects NaN
+            raise ParameterDomainError(f"r must be non-negative, got {value}")
+        if math.tanh(value) == 1.0:
+            raise ParameterDomainError(
+                f"r = {value} is too large: tanh(r) rounds to 1 in double "
+                f"precision, so the squeezed vacuum's normalization "
+                f"1 - tanh(r)^2 vanishes"
+            )
+    elif not 0.0 <= value <= 1.0:
         raise ParameterDomainError(f"{name} must lie in [0, 1], got {value}")
     return value
 
@@ -43,6 +63,8 @@ class CircuitParams:
     eta2: loss factor on the detection mode after the beam splitter
     T: beam-splitter transmissivity
     m: heralded photon count (>= 0; m = 0 heralds on vacuum)
+
+    Each field is checked by :func:`check_parameter`.
     """
 
     r: float
@@ -52,23 +74,12 @@ class CircuitParams:
     m: int
 
     def __post_init__(self):
-        r = float(self.r)
-        if not r >= 0.0:  # also rejects NaN
-            raise ParameterDomainError(f"r must be non-negative, got {r}")
-        if math.tanh(r) == 1.0:
-            raise ParameterDomainError(
-                f"r = {r} is too large: tanh(r) rounds to 1 in double "
-                f"precision, so the squeezed vacuum's normalization "
-                f"1 - tanh(r)^2 vanishes"
-            )
-        m = self.m
-        if m != int(m) or m < 0:
-            raise ParameterDomainError(f"m must be a non-negative integer, got {m}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "eta1", _check_unit_interval("eta1", self.eta1))
-        object.__setattr__(self, "eta2", _check_unit_interval("eta2", self.eta2))
-        object.__setattr__(self, "T", _check_unit_interval("T", self.T))
-        object.__setattr__(self, "m", int(m))
+        set_field = object.__setattr__
+        set_field(self, "r", check_parameter("r", self.r))
+        set_field(self, "m", check_parameter("m", self.m))
+        set_field(self, "eta1", check_parameter("eta1", self.eta1))
+        set_field(self, "eta2", check_parameter("eta2", self.eta2))
+        set_field(self, "T", check_parameter("T", self.T))
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,7 @@ def apply_loss(cf: TwoModeGaussianCF, mode: str, eta: float) -> TwoModeGaussianC
     cross weights carry one factor of the argument and scale by
     sqrt(1 - eta).
     """
-    eta = _check_unit_interval("eta", eta)
+    eta = check_parameter("eta", eta)
     keep = 1.0 - eta
     root = math.sqrt(keep)
     if mode == "a":
@@ -160,7 +171,7 @@ def apply_beamsplitter(cf: TwoModeGaussianCF, T: float) -> TwoModeGaussianCF:
     alpha -> sqrt(T) alpha + sqrt(1-T) beta,
     beta  -> -sqrt(1-T) alpha + sqrt(T) beta.
     """
-    T = _check_unit_interval("T", T)
+    T = check_parameter("T", T)
     s2 = T
     u2 = 1.0 - T
     su = math.sqrt(s2 * u2)

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from . import __version__, fock_oracle, observables, validation
-from .circuit import CircuitParams
+from .circuit import CircuitParams, check_parameter
 from .errors import MssvsError, ParameterDomainError
 
 PARAM_NAMES = ("r", "eta1", "eta2", "T", "m")
@@ -97,20 +97,6 @@ class SweepSpec:
             yield params
 
 
-def _check_domain(name: str, value: float, lineno: int) -> None:
-    ok = True
-    if name in ("eta1", "eta2", "T"):
-        ok = 0.0 <= value <= 1.0
-    elif name == "r":
-        ok = value >= 0.0
-    elif name == "m":
-        ok = value >= 0.0 and value == int(value)
-    if not ok:
-        raise SweepSpecError(
-            f"line {lineno}: value {value!r} is outside the domain of {name}"
-        )
-
-
 def _parse_axis_values(name: str, text: str, lineno: int) -> tuple[float, ...]:
     text = text.strip()
     if ":" in text:
@@ -134,8 +120,6 @@ def _parse_axis_values(name: str, text: str, lineno: int) -> tuple[float, ...]:
             raise SweepSpecError(f"line {lineno}: {exc}") from exc
     if not values:
         raise SweepSpecError(f"line {lineno}: axis {name} has no values")
-    for value in values:
-        _check_domain(name, value, lineno)
     return values
 
 
@@ -160,26 +144,29 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         if "=" not in line:
             raise SweepSpecError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("axis."):
-            name = key[5:]
+        if key.startswith(("axis.", "fixed.")):
+            kind, name = key.split(".", 1)
             if name not in PARAM_NAMES:
                 raise SweepSpecError(f"line {lineno}: unknown parameter {name!r}")
             if name in seen:
                 raise SweepSpecError(f"line {lineno}: parameter {name!r} given twice")
             seen.add(name)
-            axes.append((name, _parse_axis_values(name, value, lineno)))
-        elif key.startswith("fixed."):
-            name = key[6:]
-            if name not in PARAM_NAMES:
-                raise SweepSpecError(f"line {lineno}: unknown parameter {name!r}")
-            if name in seen:
-                raise SweepSpecError(f"line {lineno}: parameter {name!r} given twice")
-            seen.add(name)
+            if kind == "axis":
+                values = _parse_axis_values(name, value, lineno)
+            else:
+                try:
+                    values = (float(value),)
+                except ValueError as exc:
+                    raise SweepSpecError(f"line {lineno}: {exc}") from exc
             try:
-                fixed[name] = float(value)
-            except ValueError as exc:
-                raise SweepSpecError(f"line {lineno}: {exc}") from exc
-            _check_domain(name, fixed[name], lineno)
+                for v in values:
+                    check_parameter(name, v)
+            except ParameterDomainError as exc:
+                raise SweepSpecError(f"line {lineno}: outside the domain: {exc}") from exc
+            if kind == "axis":
+                axes.append((name, values))
+            else:
+                fixed[name] = values[0]
         elif key == "observables":
             names = tuple(v.strip() for v in value.split(",") if v.strip())
             unknown = [n for n in names if n not in OBSERVABLE_NAMES]

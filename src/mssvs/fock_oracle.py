@@ -1,16 +1,16 @@
-"""Brute-force reference simulation in a truncated two-mode Fock space.
+"""Brute-force reference simulation in a truncated Fock space.
 
 Ground truth for every closed-form result in :mod:`mssvs.observables`:
 the same circuit is simulated by direct linear algebra on photon-number
-amplitudes, with the loss channels realized by explicit Kraus sums and
-the beam splitter by a number-conserving unitary. Nothing here touches
-the generating-function machinery, so agreement between the two routes
-validates both.
+amplitudes. Nothing here touches the generating-function machinery, so
+agreement between the two routes validates both.
 
-Two-mode density operators are stored as 4-index tensors indexed
-``[na, nb, na', nb']``; flattening the first and last index pairs in C
-order matches the ``na * cutoff + nb`` basis convention of
-:func:`beamsplitter_unitary`.
+There is one route per operation. The squeezed input is a number-basis
+vector; the input loss is the Kraus sum taken as diagonal-shifted slices
+of the single-mode density matrix; the beam splitter acts on a product
+with vacuum, so only its vacuum-column amplitudes enter; and the
+detection loss is folded into the herald projection weights. No
+two-mode tensor is formed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .circuit import CircuitParams
 from .errors import CutoffTooSmallError, ParameterDomainError
@@ -29,7 +28,18 @@ DEFAULT_CUTOFF = 40
 ESCALATED_CUTOFF = 60
 HERALD_FLOOR = 1e-14
 
+# Cutoff escalation: the herald probability and second photon moment must
+# be stationary to CONVERGENCE_TOL (relative) before MAX_CUTOFF is reached.
+CONVERGENCE_TOL = 1e-10
+MAX_CUTOFF = 320
+
 _TAIL_MARGIN = 4  # tail mass is measured from cutoff - 4 upward
+
+# The loss and herald sums stop at the first term whose largest weight is
+# at most this share of the trace kept so far: density entries are at most
+# 1 in magnitude, so such a term adds nothing a double can hold next to
+# that trace, and past their peak the weights only fall.
+_TERM_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -58,51 +68,20 @@ class FockState:
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Density operator over one mode (matrix) or two modes (4-index tensor)."""
+    """Single-mode density operator as a number-basis matrix."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim == 2:
-            if mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"single-mode density must be square, got {mat.shape}")
-        elif mat.ndim == 4:
-            if mat.shape[0] != mat.shape[2] or mat.shape[1] != mat.shape[3]:
-                raise ValueError(
-                    f"two-mode density must have shape (da, db, da, db), got {mat.shape}"
-                )
-        else:
-            raise ValueError(f"density must have 2 or 4 indices, got {mat.ndim}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"density must be a square matrix, got shape {mat.shape}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def n_modes(self) -> int:
-        return self.matrix.ndim // 2
-
-    @property
-    def cutoffs(self) -> tuple[int, ...]:
-        return self.matrix.shape[: self.n_modes]
-
-    def trace(self) -> float:
-        if self.n_modes == 1:
-            return float(np.trace(self.matrix).real)
-        return float(np.einsum("abab->", self.matrix).real)
-
-    def hermiticity_defect(self) -> float:
-        if self.n_modes == 1:
-            return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        swapped = np.conj(np.transpose(self.matrix, (2, 3, 0, 1)))
-        return float(np.max(np.abs(self.matrix - swapped)))
-
-    def min_eigenvalue(self) -> float:
-        if self.n_modes == 1:
-            mat = self.matrix
-        else:
-            d = self.cutoffs[0] * self.cutoffs[1]
-            mat = self.matrix.reshape(d, d)
-        return float(np.linalg.eigvalsh(mat)[0])
+    def cutoff(self) -> int:
+        return self.matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +114,7 @@ def _svs_probabilities_extended(r: float, tail_tol: float) -> np.ndarray:
         count *= 2
 
 
-def required_cutoff(r: float, tail_tol: float = 1e-10) -> int:
+def required_cutoff(r: float, tail_tol: float) -> int:
     """Smallest cutoff whose tail mass (above cutoff - 4) stays below tol."""
     if r == 0.0:
         return 1
@@ -177,57 +156,8 @@ def squeezed_vacuum(
     return FockState(amp / np.linalg.norm(amp))
 
 
-def annihilate(state: FockState, m: int = 1) -> FockState:
-    """Apply the annihilation operator m times and renormalize."""
-    amp = np.array(state.amplitudes)
-    for _ in range(m):
-        n = np.arange(1, amp.size)
-        amp = amp[1:] * np.sqrt(n)
-    norm = np.linalg.norm(amp)
-    if norm == 0.0:
-        raise ValueError("annihilation emptied the state")
-    return FockState(amp / norm)
-
-
-def photon_subtracted_target(r: float, m: int, cutoff: int) -> FockState:
-    """Normalized a^m S(r)|0>, the ideal lossless subtraction output."""
-    source = squeezed_vacuum(r, cutoff + m, enforce_tail=False)
-    return annihilate(source, m)
-
-
 # ---------------------------------------------------------------------------
 # Channels
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Kraus operators of the pure-loss channel with loss factor eta."""
-
-    eta: float
-    operators: tuple[np.ndarray, ...]
-
-    def completeness_defect(self) -> float:
-        d = self.operators[0].shape[1]
-        acc = np.zeros((d, d), dtype=complex)
-        for op in self.operators:
-            acc += op.conj().T @ op
-        return float(np.max(np.abs(acc - np.eye(d))))
-
-
-def loss_kraus(eta: float, cutoff: int) -> KrausSet:
-    """Explicit loss Kraus operators K_j |n> = sqrt(C(n,j)(1-eta)^(n-j) eta^j)|n-j>."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterDomainError(f"eta must lie in [0, 1], got {eta}")
-    keep = 1.0 - eta
-    ops = []
-    for j in range(cutoff):
-        op = np.zeros((cutoff, cutoff))
-        for n in range(j, cutoff):
-            op[n - j, n] = math.sqrt(math.comb(n, j) * keep ** (n - j) * eta**j)
-        ops.append(op)
-        if eta == 0.0:
-            break
-    return KrausSet(eta=eta, operators=tuple(ops))
 
 
 def _loss_weights(eta: float, length: int, j: int) -> np.ndarray:
@@ -240,78 +170,37 @@ def _loss_weights(eta: float, length: int, j: int) -> np.ndarray:
     return np.sqrt(combs) * keep ** (p / 2.0)
 
 
-def apply_loss_kraus(rho: FockDensity, mode: str, eta: float) -> FockDensity:
-    """Pure-loss channel on one mode of a density operator.
+def _shifted_sum(matrix: np.ndarray, terms) -> np.ndarray:
+    """Sum of ``weight * outer(u, u) * matrix[s:, s:]`` into the leading block.
 
-    Equivalent to summing K_j rho K_j† over the Kraus set; implemented by
-    diagonal-shifted slices, which keeps the cost at one dense pass per
-    Kraus index.
+    ``terms`` yields ``(s, weight, u)`` with ``u`` of length d - s. The
+    sum stops at the first term whose bound ``weight * max(u**2)`` is at
+    most ``_TERM_TOL`` times the trace kept so far.
+    """
+    d = matrix.shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    kept = 0.0
+    for s, weight, u in terms:
+        if weight * np.max(u * u) <= _TERM_TOL * kept:
+            break
+        length = d - s
+        out[:length, :length] += weight * np.outer(u, u) * matrix[s:, s:]
+        kept = float(np.trace(out).real)
+    return out
+
+
+def apply_loss_kraus(rho: FockDensity, eta: float) -> FockDensity:
+    """Pure-loss channel: the sum of K_j rho K_j† over the Kraus set
+    K_j |n> = sqrt(C(n, j) (1-eta)^(n-j) eta^j) |n-j>.
+
+    K_j moves the block ``rho[j:, j:]`` to the top-left corner, scaled by
+    ``_loss_weights`` on each side, so each index costs one dense pass.
     """
     if not 0.0 <= eta <= 1.0:
         raise ParameterDomainError(f"eta must lie in [0, 1], got {eta}")
-    if rho.n_modes == 1:
-        if mode != "a":
-            raise ValueError(f"single-mode density has only mode 'a', got {mode!r}")
-        axes = (0, 1)
-    elif mode == "a":
-        axes = (0, 2)
-    elif mode == "b":
-        axes = (1, 3)
-    else:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-
-    mat = rho.matrix
-    d = mat.shape[axes[0]]
-    out = np.zeros_like(mat)
-    ndim = mat.ndim
-    for j in range(d):
-        weight = eta**j
-        if weight == 0.0 and j > 0:
-            break
-        length = d - j
-        u = _loss_weights(eta, length, j)
-        shape_ket = [1] * ndim
-        shape_ket[axes[0]] = length
-        shape_bra = [1] * ndim
-        shape_bra[axes[1]] = length
-        src = tuple(
-            slice(j, None) if ax in axes else slice(None) for ax in range(ndim)
-        )
-        dst = tuple(
-            slice(0, length) if ax in axes else slice(None) for ax in range(ndim)
-        )
-        out[dst] += weight * u.reshape(shape_ket) * u.reshape(shape_bra) * mat[src]
-    return FockDensity(out)
-
-
-def beamsplitter_unitary(T: float, cutoff: int) -> np.ndarray:
-    """Number-conserving beam-splitter unitary on the truncated two-mode space.
-
-    Basis index is na * cutoff + nb. The mode convention sends
-    a -> sqrt(T) a + sqrt(1-T) b, realized by exponentiating
-    theta (a b† - a† b) with cos theta = sqrt(T) block by block in total
-    photon number; each block exponent is antisymmetric, so the result is
-    exactly unitary on the truncated space.
-    """
-    if not 0.0 <= T <= 1.0:
-        raise ParameterDomainError(f"T must lie in [0, 1], got {T}")
-    theta = math.acos(math.sqrt(T))
-    d = cutoff
-    u = np.zeros((d * d, d * d))
-    for total in range(2 * d - 1):
-        ks = list(range(max(0, total - d + 1), min(total, d - 1) + 1))
-        size = len(ks)
-        gen = np.zeros((size, size))
-        for i in range(size - 1):
-            k = ks[i]
-            # a b† lowers k by one; a† b raises it, antisymmetrically
-            amp = math.sqrt((k + 1) * (total - k))
-            gen[i, i + 1] = amp
-            gen[i + 1, i] = -amp
-        block = expm(theta * gen) if size > 1 else np.ones((1, 1))
-        flat = [k * d + (total - k) for k in ks]
-        u[np.ix_(flat, flat)] = block
-    return u
+    d = rho.cutoff
+    terms = ((j, eta**j, _loss_weights(eta, d - j, j)) for j in range(d))
+    return FockDensity(_shifted_sum(rho.matrix, terms))
 
 
 def bs_vacuum_weights(T: float, cutoff: int) -> np.ndarray:
@@ -327,26 +216,6 @@ def bs_vacuum_weights(T: float, cutoff: int) -> np.ndarray:
     return w
 
 
-def herald(rho: FockDensity, m: int) -> tuple[FockDensity | None, float]:
-    """Project mode b onto m photons; returns the kept state and p_d.
-
-    The projection trace is the herald probability. Below
-    ``HERALD_FLOOR`` no normalized state exists and None is returned in
-    its place (not an exception, so parameter sweeps can record nulls).
-    """
-    if rho.n_modes != 2:
-        raise ValueError("herald expects a two-mode density")
-    if not 0 <= m < rho.cutoffs[1]:
-        raise ValueError(
-            f"heralded photon number {m} outside the detector cutoff {rho.cutoffs[1]}"
-        )
-    kept = np.array(rho.matrix[:, m, :, m])
-    p_d = float(np.trace(kept).real)
-    if p_d < HERALD_FLOOR:
-        return None, max(p_d, 0.0)
-    return FockDensity(kept / p_d), p_d
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 
@@ -359,53 +228,25 @@ class PipelineResult:
     cutoff: int
 
 
-def stage_densities(
-    params: CircuitParams, cutoff: int
-) -> tuple[FockDensity, FockDensity, FockDensity, FockDensity]:
-    """The four pre-detection two-mode densities, by direct composition.
-
-    Materializes full two-mode tensors; intended for moderate cutoffs
-    (tests and characteristic-function sampling).
-    """
-    svs = squeezed_vacuum(params.r, cutoff, enforce_tail=False)
-    vac = np.zeros(cutoff)
-    vac[0] = 1.0
-    psi = np.einsum("a,b->ab", svs.amplitudes, vac)
-    rho1 = FockDensity(np.einsum("ab,cd->abcd", psi, psi.conj()))
-    rho2 = apply_loss_kraus(rho1, "a", params.eta1)
-    u = beamsplitter_unitary(params.T, cutoff)
-    d2 = cutoff * cutoff
-    mixed = u @ rho2.matrix.reshape(d2, d2) @ u.conj().T
-    rho3 = FockDensity(mixed.reshape(cutoff, cutoff, cutoff, cutoff))
-    rho4 = apply_loss_kraus(rho3, "b", params.eta2)
-    return rho1, rho2, rho3, rho4
-
-
-def run_pipeline_reference(params: CircuitParams, cutoff: int) -> PipelineResult:
-    """Pipeline by literal stage composition (dense two-mode tensors)."""
-    rho4 = stage_densities(params, cutoff)[3]
-    state, p_d = herald(rho4, params.m)
-    return PipelineResult(params=params, p_d=p_d, state=state, cutoff=cutoff)
-
-
 def _herald_once(params: CircuitParams, d: int, svs: FockState) -> tuple[np.ndarray, float]:
-    """Heralded (unnormalized) output and p_d at one working cutoff."""
-    m = params.m
-    rho_a = np.outer(svs.amplitudes, svs.amplitudes.conj())
-    if params.eta1 > 0.0:
-        rho_a = apply_loss_kraus(FockDensity(rho_a), "a", params.eta1).matrix
+    """Heralded (unnormalized) output and p_d at one working cutoff.
 
+    Detecting m photons behind the detection loss means m + j photons
+    reached it and j were lost, with weight C(m+j, j) (1-eta2)^m eta2^j;
+    m + j photons in the detection arm come from the signal's
+    vacuum-column beam-splitter amplitudes.
+    """
+    m = params.m
+    rho_a = svs.density()
+    if params.eta1 > 0.0:
+        rho_a = apply_loss_kraus(rho_a, params.eta1)
     weights = bs_vacuum_weights(params.T, d)
     eta2 = params.eta2
-    out = np.zeros((d, d), dtype=complex)
-    for j in range(d - m):
-        herald_weight = math.comb(m + j, j) * (1.0 - eta2) ** m * eta2**j
-        if herald_weight == 0.0 and j > 0:
-            break
-        n = m + j
-        length = d - n
-        u = weights[:length, n]
-        out[:length, :length] += herald_weight * np.outer(u, u) * rho_a[n:, n:]
+    terms = (
+        (m + j, math.comb(m + j, j) * (1.0 - eta2) ** m * eta2**j, weights[: d - m - j, m + j])
+        for j in range(d - m)
+    )
+    out = _shifted_sum(rho_a.matrix, terms)
     return out, float(np.trace(out).real)
 
 
@@ -422,24 +263,17 @@ def run_pipeline(
     *,
     escalate: bool = True,
     tail_tol: float = 1e-10,
-    convergence_tol: float = 1e-10,
-    max_cutoff: int = 320,
 ) -> PipelineResult:
     """Simulate the full circuit and herald on m photons.
-
-    Identical channel algebra to :func:`run_pipeline_reference` without
-    materializing the two-mode tensors: the beam splitter acts on a
-    product with vacuum, so only its vacuum-column amplitudes enter, and
-    the detection-arm loss is folded into the herald projection weights.
 
     Cutoff escalation happens twice over. The squeezed input must satisfy
     its own tail criterion (``tail_tol``; first retry at
     ``ESCALATED_CUTOFF``, then at the reported sufficient value).
     Heralding then re-weights high photon numbers, so the cutoff keeps
-    growing until the herald probability and the conditioned state's
-    second photon moment are stationary to ``convergence_tol``; m-photon
-    detection at high transmissivity needs visibly more room than the
-    input alone.
+    growing, up to ``MAX_CUTOFF``, until the herald probability and the
+    conditioned state's second photon moment are stationary to
+    ``CONVERGENCE_TOL``; m-photon detection at high transmissivity needs
+    visibly more room than the input alone.
     """
     d = cutoff
     try:
@@ -458,14 +292,14 @@ def run_pipeline(
     out, p_d = _herald_once(params, d, svs)
     if escalate and p_d >= HERALD_FLOOR:
         moment2 = _herald_summary(out, p_d)
-        while d < max_cutoff:
-            wider = min(max_cutoff, d + max(24, d // 3))
+        while d < MAX_CUTOFF:
+            wider = min(MAX_CUTOFF, d + max(24, d // 3))
             svs = squeezed_vacuum(params.r, wider, tail_tol=tail_tol, enforce_tail=False)
             out_w, p_w = _herald_once(params, wider, svs)
             moment2_w = _herald_summary(out_w, p_w)
             converged = (
-                abs(p_w - p_d) <= convergence_tol * p_w
-                and abs(moment2_w - moment2) <= convergence_tol * (1.0 + moment2_w)
+                abs(p_w - p_d) <= CONVERGENCE_TOL * p_w
+                and abs(moment2_w - moment2) <= CONVERGENCE_TOL * (1.0 + moment2_w)
             )
             out, p_d, moment2, d = out_w, p_w, moment2_w, wider
             if converged:
@@ -543,42 +377,14 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     return out
 
 
-def characteristic_function(rho: FockDensity, alpha: complex, beta: complex | None = None) -> complex:
-    """Tr[rho D_a(alpha)] or Tr[rho D_a(alpha) D_b(beta)] for two modes."""
-    if rho.n_modes == 1:
-        d = rho.cutoffs[0]
-        return complex(np.einsum("ab,ba->", rho.matrix, displacement_matrix(alpha, d)))
-    if beta is None:
-        raise ValueError("two-mode characteristic function needs both arguments")
-    da, db = rho.cutoffs
-    d_a = displacement_matrix(alpha, da)
-    d_b = displacement_matrix(beta, db)
-    return complex(np.einsum("abcd,ca,db->", rho.matrix, d_a, d_b))
-
-
-def oracle_pnd(rho: FockDensity, n_max: int | None = None) -> np.ndarray:
-    """Diagonal photon-number probabilities of a single-mode state."""
-    if rho.n_modes != 1:
-        raise ValueError("photon-number distribution expects a single-mode state")
-    diag = np.real(np.diag(rho.matrix))
-    if n_max is not None:
-        diag = diag[: n_max + 1]
-    return diag
-
-
-def oracle_moment(rho: FockDensity, k: int, l: int) -> complex:
-    """<a†^k a^l> by direct matrix products."""
-    if rho.n_modes != 1:
-        raise ValueError("moments expect a single-mode state")
-    d = rho.cutoffs[0]
-    a = ladder(d)
-    op = np.linalg.matrix_power(a.conj().T, k) @ np.linalg.matrix_power(a, l)
-    return complex(np.einsum("ab,ba->", rho.matrix, op))
+def oracle_pnd(rho: FockDensity, n_max: int) -> np.ndarray:
+    """Photon-number probabilities P(0..n_max), the diagonal of rho."""
+    return np.real(np.diag(rho.matrix))[: n_max + 1]
 
 
 def oracle_variances(rho: FockDensity) -> QuadratureVariances:
     """Quadrature variances from the quadrature matrices themselves."""
-    d = rho.cutoffs[0]
+    d = rho.cutoff
     a = ladder(d)
     x = (a + a.conj().T) / math.sqrt(2.0)
     p = (a - a.conj().T) / (1j * math.sqrt(2.0))
@@ -590,13 +396,6 @@ def oracle_variances(rho: FockDensity) -> QuadratureVariances:
     return QuadratureVariances(var_x=var[0], var_p=var[1])
 
 
-def oracle_parity(rho: FockDensity) -> float:
-    """Expectation of (-1)^(a†a)."""
-    diag = np.real(np.diag(rho.matrix))
-    signs = 1.0 - 2.0 * (np.arange(diag.size) % 2)
-    return float(diag @ signs)
-
-
 def _wigner_values(matrix: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """(2/pi) Re Tr[rho D(2 beta) (-1)^(a†a)] for every beta of a batch.
 
@@ -606,8 +405,6 @@ def _wigner_values(matrix: np.ndarray, betas: np.ndarray) -> np.ndarray:
     is contracted with rho as it is produced, so no displacement matrix
     is formed.
     """
-    if matrix.ndim != 2:
-        raise ValueError("Wigner evaluation expects a single-mode state")
     d = matrix.shape[0]
     signs = 1.0 - 2.0 * (np.arange(d) % 2)
     # the kernel's column c carries parity signs[c]: <n+k|D|n> meets
@@ -649,27 +446,3 @@ def oracle_wigner_grid(
     betas = np.array([complex(xv, yv) / math.sqrt(2.0) for xv, yv in coords])
     values = _wigner_values(rho.matrix, betas)
     return [WignerPoint(x=xv, y=yv, w=float(w)) for (xv, yv), w in zip(coords, values)]
-
-
-def fidelity(rho: FockDensity, target: FockState) -> float:
-    """Overlap <psi| rho |psi> with a pure target, padding to a common cutoff."""
-    if rho.n_modes != 1:
-        raise ValueError("fidelity expects a single-mode state")
-    d = max(rho.cutoffs[0], target.cutoff)
-    amp = np.zeros(d, dtype=complex)
-    amp[: target.cutoff] = target.amplitudes
-    mat = np.zeros((d, d), dtype=complex)
-    mat[: rho.cutoffs[0], : rho.cutoffs[0]] = rho.matrix
-    return float((amp.conj() @ mat @ amp).real)
-
-
-def oracle_observables(rho: FockDensity, *, n_max: int | None = None) -> dict:
-    """Bundle of the scalar diagnostics used by validation reports."""
-    variances_ = oracle_variances(rho)
-    return {
-        "pnd": oracle_pnd(rho, n_max),
-        "mean_photon": oracle_moment(rho, 1, 1).real,
-        "var_x": variances_.var_x,
-        "var_p": variances_.var_p,
-        "parity": oracle_parity(rho),
-    }

@@ -94,11 +94,15 @@ class WignerPoint:
 
 
 def _real_part(value, what: str, tol: float):
-    """Real part of a complex value or array, checked entry by entry."""
+    """Real part of a complex value or array, checked entry by entry.
+
+    The error names ``what.format(i)`` for the first failing flat index i.
+    """
     i = _first(abs(value.imag) > tol * np.maximum(1.0, abs(value)))
     if i is not None:
         raise NumericalConsistencyError(
-            f"{what} has imaginary residue {np.ravel(value.imag)[i]:.3e} beyond {tol:.0e}"
+            f"{what.format(i)} has imaginary residue {np.ravel(value.imag)[i]:.3e} "
+            f"beyond {tol:.0e}"
         )
     return value.real
 
@@ -353,17 +357,16 @@ def _pnd_values(
         _pnd_exponent(dc), caps, max_total_order=max(DEFAULT_MAX_TOTAL_ORDER, sum(caps))
     )
     norm = pd * math.sqrt(dc.eps4 * dc.kappa4)
-    values = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        coeff = complex(box[m, m, n, n])
-        raw = _real_part(coeff, f"P({n})", _IMAG_TOL)
-        value = raw * math.factorial(m) * math.factorial(n) / norm
-        if value < -_PND_NEGATIVE_TOL:
-            raise NumericalConsistencyError(
-                f"P({n}) = {value} is negative beyond tolerance at {params}"
-            )
-        values[n] = min(max(value, 0.0), 1.0)
-    return values
+    raw = _real_part(np.diagonal(box[m, m]), "P({})", _IMAG_TOL)
+    factorials = np.array([float(math.factorial(n)) for n in range(n_max + 1)])
+    values = raw * float(math.factorial(m)) * factorials / norm
+    bad = _first(values < -_PND_NEGATIVE_TOL)
+    if bad is not None:
+        raise NumericalConsistencyError(
+            f"P({bad}) = {values[bad]} is negative beyond tolerance at {params}"
+        )
+    # where() rather than clip(), so that -0.0 and NaN pass as min/max left them
+    return np.where(values > 1.0, 1.0, np.where(values < 0.0, 0.0, values))
 
 
 def pnd(params: CircuitParams, n: int) -> float:

@@ -69,19 +69,20 @@ def compare_point(
     *,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
-    pnd_max: int = PND_MAX,
-    wigner_extent: float = WIGNER_EXTENT,
-    wigner_points: int = WIGNER_POINTS,
 ) -> PointReport:
-    """Compare every validated observable at one parameter point."""
+    """Compare every validated observable at one parameter point.
+
+    P(0..PND_MAX), both variances and the Wigner function on a
+    WIGNER_POINTS x WIGNER_POINTS grid over [-WIGNER_EXTENT, WIGNER_EXTENT]^2.
+    """
     result = fock_oracle.run_pipeline(params, cutoff)
     pd_closed = observables.success_probability(params)
     deviations = {"p_d": abs(pd_closed - result.p_d)}
     ok = deviation_within(pd_closed, result.p_d, rel_tol, abs_tol)
 
     if result.state is not None:
-        pnd_closed = observables.pnd_vector(params, pnd_max)
-        pnd_oracle = fock_oracle.oracle_pnd(result.state, pnd_max)
+        pnd_closed = observables.pnd_vector(params, PND_MAX)
+        pnd_oracle = fock_oracle.oracle_pnd(result.state, PND_MAX)
         deviations["pnd"] = float(np.max(np.abs(pnd_closed - pnd_oracle)))
         ok &= all(
             deviation_within(float(c), float(o), rel_tol, abs_tol)
@@ -95,11 +96,9 @@ def compare_point(
         ok &= deviation_within(var_closed.var_x, var_oracle.var_x, rel_tol, abs_tol)
         ok &= deviation_within(var_closed.var_p, var_oracle.var_p, rel_tol, abs_tol)
 
-        window = (-wigner_extent, wigner_extent)
-        w_closed = observables.wigner_grid(params, window, window, wigner_points)
-        w_oracle = fock_oracle.oracle_wigner_grid(
-            result.state, window, window, wigner_points
-        )
+        window = (-WIGNER_EXTENT, WIGNER_EXTENT)
+        w_closed = observables.wigner_grid(params, window, window, WIGNER_POINTS)
+        w_oracle = fock_oracle.oracle_wigner_grid(result.state, window, window, WIGNER_POINTS)
         deviations["wigner"] = max(
             abs(c.w - o.w) for c, o in zip(w_closed, w_oracle)
         )
@@ -110,16 +109,6 @@ def compare_point(
     return PointReport(params=params, cutoff=result.cutoff, deviations=deviations, ok=ok)
 
 
-def validate_grid(
-    points: list[CircuitParams] | None = None,
-    cutoff: int = fock_oracle.DEFAULT_CUTOFF,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> list[PointReport]:
-    """Run compare_point over a grid (the standard grid by default)."""
-    if points is None:
-        points = standard_grid()
-    return [
-        compare_point(p, cutoff, rel_tol=rel_tol, abs_tol=abs_tol) for p in points
-    ]
+def validate_grid() -> list[PointReport]:
+    """Run compare_point over the standard grid at the default tolerances."""
+    return [compare_point(p) for p in standard_grid()]

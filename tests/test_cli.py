@@ -223,7 +223,8 @@ class TestSweepSpecParsing:
 
     @pytest.mark.parametrize(
         "line",
-        ["axis.eta1 = 0:2:5", "axis.m = 1.5,2", "fixed.T = 1.2", "axis.r = -0.5,0.5"],
+        ["axis.eta1 = 0:2:5", "axis.m = 1.5,2", "fixed.T = 1.2", "axis.r = -0.5,0.5",
+         "axis.m = 2,inf"],
     )
     def test_domain_checked_at_parse_time(self, line):
         base = (
@@ -338,6 +339,24 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0].startswith("error: line 7:")
         assert option.split(" = ")[0] in lines[0]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_saturated_squeezing_is_a_parse_error(self, tmp_path, capsys):
+        # tanh(20) rounds to 1: the check CircuitParams applies, at parse time
+        spec = self.write_spec(
+            tmp_path,
+            "axis.eta1 = 0,0.1\nfixed.eta2 = 0\nfixed.T = 0.9\nfixed.m = 1\n"
+            "observables = prob\n# saturated squeezing\nfixed.r = 20\n",
+        )
+        code, out, err = run_cli(
+            capsys, "sweep", spec, "-o", str(tmp_path / "x.csv"), "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: line 7:")
+        assert "tanh" in lines[0]
         assert not (tmp_path / "x.csv").exists()
 
     def prob_spec(self, tmp_path):
@@ -546,6 +565,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert '"always-squeezed"' in proc.stdout
+
+
+class TestWithoutScipy:
+    def test_runtime_needs_no_scipy(self, tmp_path):
+        # SciPy is a test dependency only: with its import blocked, a point
+        # and a two-point validation still run through the CLI.
+        import subprocess
+        import sys
+
+        grid = tmp_path / "grid.txt"
+        grid.write_text("0.7,0.1,0.1,0.97,2\n0.3,0,0.05,0.8,1\n")
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from mssvs.cli import main\n"
+            "assert main(['point', '--r', '0.7', '--T', '0.9', '--m', '1', "
+            "'--no-timestamp']) == 0\n"
+            f"assert main(['validate', '--grid', {str(grid)!r}]) == 0\n"
+        )
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "validation passed at all 2 points" in proc.stdout
 
 
 class TestValidate:

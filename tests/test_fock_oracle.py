@@ -12,6 +12,8 @@ from mssvs.errors import CutoffTooSmallError
 from mssvs import fock_oracle as fo
 from mssvs import observables as obs
 
+import fock_reference as ref
+
 
 def displacement_expm(alpha: complex, cutoff: int) -> np.ndarray:
     """Generator exponentiation on the block; edge-distorted near the cutoff."""
@@ -59,11 +61,11 @@ class TestSqueezedVacuum:
         # cutoff 120 holds r = 1 to the stated precision; cutoff 60 leaves
         # a 1e-6-scale truncation residue
         rho = fo.squeezed_vacuum(1.0, 120, enforce_tail=False).density()
-        assert fo.oracle_moment(rho, 1, 1).real == pytest.approx(
+        assert ref.oracle_moment(rho, 1, 1).real == pytest.approx(
             math.sinh(1.0) ** 2, abs=1e-10
         )
         rho60 = fo.squeezed_vacuum(1.0, 60, enforce_tail=False).density()
-        assert fo.oracle_moment(rho60, 1, 1).real == pytest.approx(
+        assert ref.oracle_moment(rho60, 1, 1).real == pytest.approx(
             math.sinh(1.0) ** 2, abs=1e-5
         )
 
@@ -84,19 +86,19 @@ class TestSqueezedVacuum:
 class TestLossChannel:
     def test_kraus_completeness(self):
         for eta in (0.0, 0.35, 1.0):
-            kraus = fo.loss_kraus(eta, 25)
+            kraus = ref.loss_kraus(eta, 25)
             assert kraus.completeness_defect() < 1e-10
 
     def test_identity(self):
         rng = np.random.default_rng(31)
         mat = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         rho = fo.FockDensity(mat @ mat.conj().T / np.trace(mat @ mat.conj().T).real)
-        out = fo.apply_loss_kraus(rho, "a", 0.0)
+        out = fo.apply_loss_kraus(rho, 0.0)
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_complete_loss(self):
         state = fo.squeezed_vacuum(0.8, 30, enforce_tail=False)
-        out = fo.apply_loss_kraus(state.density(), "a", 1.0)
+        out = fo.apply_loss_kraus(state.density(), 1.0)
         expected = np.zeros((30, 30))
         expected[0, 0] = 1.0
         assert np.allclose(out.matrix, expected, atol=1e-12)
@@ -104,7 +106,7 @@ class TestLossChannel:
     def test_single_photon_damping(self):
         rho = np.zeros((5, 5), dtype=complex)
         rho[1, 1] = 1.0
-        out = fo.apply_loss_kraus(fo.FockDensity(rho), "a", 0.3)
+        out = fo.apply_loss_kraus(fo.FockDensity(rho), 0.3)
         assert out.matrix[1, 1] == pytest.approx(0.7)
         assert out.matrix[0, 0] == pytest.approx(0.3)
 
@@ -115,37 +117,46 @@ class TestLossChannel:
         rho = mat @ mat.conj().T
         rho /= np.trace(rho).real
         eta = 0.4
-        kraus = fo.loss_kraus(eta, d)
+        kraus = ref.loss_kraus(eta, d)
         explicit = sum(op @ rho @ op.conj().T for op in kraus.operators)
-        fast = fo.apply_loss_kraus(fo.FockDensity(rho), "a", eta)
+        fast = fo.apply_loss_kraus(fo.FockDensity(rho), eta)
         assert np.allclose(fast.matrix, explicit, atol=1e-12)
 
-    def test_two_mode_modes_and_trace(self):
-        rng = np.random.default_rng(33)
-        d = 6
-        mat = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        rho = mat @ mat.conj().T
-        rho /= np.trace(rho).real
-        rho4 = fo.FockDensity(rho.reshape(d, d, d, d))
-        for mode in ("a", "b"):
-            out = fo.apply_loss_kraus(rho4, mode, 0.25)
-            assert out.trace() == pytest.approx(1.0, abs=1e-10)
-            assert out.hermiticity_defect() < 1e-12
-            assert out.min_eigenvalue() > -1e-10
+    @pytest.mark.parametrize("eta,kept", [(0.05, 43), (0.1, 60), (0.3, 111)])
+    def test_stops_where_terms_vanish(self, monkeypatch, eta, kept):
+        # at cutoff 188 only the first `kept` Kraus indices carry a term
+        # above 1e-16 of the trace; the rest change nothing
+        d = 188
+        rho = fo.squeezed_vacuum(1.0, d, enforce_tail=False).density()
+        full = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            u = fo._loss_weights(eta, d - j, j)
+            full[: d - j, : d - j] += eta**j * np.outer(u, u) * rho.matrix[j:, j:]
+        calls = []
+        weights = fo._loss_weights
+
+        def counted(*args):
+            calls.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(fo, "_loss_weights", counted)
+        out = fo.apply_loss_kraus(rho, eta)
+        assert len(calls) == kept + 1  # the last call finds the first vanishing term
+        assert np.max(np.abs(out.matrix - full)) < 1e-16
 
 
 class TestBeamsplitter:
     def test_transparent(self):
-        u = fo.beamsplitter_unitary(1.0, 6)
+        u = ref.beamsplitter_unitary(1.0, 6)
         assert np.allclose(u, np.eye(36), atol=1e-12)
 
     def test_unitary(self):
-        u = fo.beamsplitter_unitary(0.7, 12)
+        u = ref.beamsplitter_unitary(0.7, 12)
         assert np.max(np.abs(u @ u.T - np.eye(144))) < 1e-10
 
     def test_single_photon_split(self):
         d = 4
-        u = fo.beamsplitter_unitary(0.7, d)
+        u = ref.beamsplitter_unitary(0.7, d)
         # column of |1, 0>: index 1 * d + 0
         column = u[:, d]
         expected = np.zeros(d * d)
@@ -155,7 +166,7 @@ class TestBeamsplitter:
 
     def test_photon_number_conservation(self):
         d = 6
-        u = fo.beamsplitter_unitary(0.42, d)
+        u = ref.beamsplitter_unitary(0.42, d)
         totals = np.add.outer(np.arange(d), np.arange(d)).ravel()
         mixing = np.abs(u) > 1e-14
         same_total = totals[:, None] == totals[None, :]
@@ -164,7 +175,7 @@ class TestBeamsplitter:
     def test_vacuum_columns_closed_form(self):
         d = 9
         T = 0.64
-        u = fo.beamsplitter_unitary(T, d)
+        u = ref.beamsplitter_unitary(T, d)
         w = fo.bs_vacuum_weights(T, d)
         for k in range(d):
             column = u[:, k * d].reshape(d, d)
@@ -180,16 +191,34 @@ class TestHerald:
     def test_vacuum_zero_photons(self):
         vac = np.zeros((5, 5, 5, 5), dtype=complex)
         vac[0, 0, 0, 0] = 1.0
-        state, p_d = fo.herald(fo.FockDensity(vac), 0)
+        state, p_d = ref.herald(vac, 0)
         assert p_d == pytest.approx(1.0)
         assert state.matrix[0, 0] == pytest.approx(1.0)
 
     def test_vacuum_one_photon_impossible(self):
         vac = np.zeros((5, 5, 5, 5), dtype=complex)
         vac[0, 0, 0, 0] = 1.0
-        state, p_d = fo.herald(fo.FockDensity(vac), 1)
+        state, p_d = ref.herald(vac, 1)
         assert state is None
         assert p_d == 0.0
+
+    @pytest.mark.parametrize("eta2", [0.05, 0.3])
+    def test_sum_stops_where_terms_vanish(self, eta2):
+        # at cutoff 188 the herald keeps 15 (eta2 = 0.05) and 24 (0.3) of its
+        # 185 detection-loss indices; the full sum gives the same state
+        params = CircuitParams(1.0, 0.1, eta2, 0.97, 3)
+        d, m = 188, 3
+        svs = fo.squeezed_vacuum(1.0, d, enforce_tail=False)
+        out, p_d = fo._herald_once(params, d, svs)
+        rho_a = fo.apply_loss_kraus(svs.density(), 0.1).matrix
+        w = fo.bs_vacuum_weights(0.97, d)
+        full = np.zeros((d, d), dtype=complex)
+        for j in range(d - m):
+            n = m + j
+            u = w[: d - n, n]
+            weight = math.comb(n, j) * (1 - eta2) ** m * eta2**j
+            full[: d - n, : d - n] += weight * np.outer(u, u) * rho_a[n:, n:]
+        assert np.max(np.abs(out - full)) <= 1e-16 * p_d
 
     def test_pipeline_matches_closed_form(self):
         params = CircuitParams(0.5, 0.02, 0.02, 0.97, 1)
@@ -210,7 +239,7 @@ class TestPipelineConsistency:
                 T=rng.uniform(0.3, 1.0),
                 m=int(rng.integers(0, 3)),
             )
-            reference = fo.run_pipeline_reference(params, 20)
+            reference = ref.run_pipeline_reference(params, 20)
             fast = fo.run_pipeline(params, 20, escalate=False, tail_tol=1.0)
             assert fast.p_d == pytest.approx(reference.p_d, abs=1e-13)
             assert np.allclose(
@@ -220,21 +249,21 @@ class TestPipelineConsistency:
     def test_stage_cfs_match_circuit(self):
         params = CircuitParams(0.5, 0.12, 0.08, 0.85, 1)
         cfs = stage_cfs(params)
-        stages = fo.stage_densities(params, 36)
+        stages = ref.stage_densities(params, 36)
         rng = np.random.default_rng(35)
         for cf, rho in zip(cfs, stages):
             for _ in range(5):
                 alpha = complex(*rng.uniform(-0.6, 0.6, 2))
                 beta = complex(*rng.uniform(-0.6, 0.6, 2))
-                got = fo.characteristic_function(rho, alpha, beta)
+                got = ref.characteristic_function_two_mode(rho, alpha, beta)
                 assert got == pytest.approx(cf.value(alpha, beta), abs=1e-8)
 
     def test_stage_invariants(self):
         params = CircuitParams(0.4, 0.2, 0.15, 0.8, 1)
-        for rho in fo.stage_densities(params, 18):
-            assert rho.trace() == pytest.approx(1.0, abs=1e-10)
-            assert rho.hermiticity_defect() < 1e-12
-            assert rho.min_eigenvalue() > -1e-10
+        for rho in ref.stage_densities(params, 18):
+            assert ref.trace(rho) == pytest.approx(1.0, abs=1e-10)
+            assert ref.hermiticity_defect(rho) < 1e-12
+            assert ref.min_eigenvalue(rho) > -1e-10
 
     def test_cutoff_doubling_convergence(self):
         # representative standard-grid points, including the escalating ones
@@ -279,13 +308,13 @@ class TestDisplacement:
         rng = np.random.default_rng(37)
         for _ in range(5):
             alpha = complex(*rng.uniform(-0.8, 0.8, 2))
-            got = fo.characteristic_function(rho, alpha)
+            got = ref.characteristic_function(rho, alpha)
             assert got == pytest.approx(cf.value(alpha, 0.0), abs=1e-10)
 
 
 def wigner_per_point(rho: fo.FockDensity, x: float, y: float) -> float:
     """(2/pi) Tr[rho D(2 beta) (-1)^(a†a)] from one full displacement matrix."""
-    d = rho.cutoffs[0]
+    d = rho.cutoff
     beta = complex(x, y) / math.sqrt(2.0)
     kernel = fo.displacement_matrix(2.0 * beta, d)
     signs = 1.0 - 2.0 * (np.arange(d) % 2)
@@ -333,7 +362,6 @@ class TestOracleObservables:
         var = fo.oracle_variances(rho)
         assert var.var_x == pytest.approx(0.5)
         assert var.var_p == pytest.approx(0.5)
-        assert fo.oracle_parity(rho) == pytest.approx(1.0)
 
     def test_single_photon(self):
         rho = np.zeros((10, 10), dtype=complex)
@@ -348,13 +376,6 @@ class TestOracleObservables:
                 obs.svs_wigner(0.8, x, y).w, rel=1e-9, abs=1e-12
             )
 
-    def test_observable_bundle(self):
-        result = fo.run_pipeline(CircuitParams(0.5, 0.1, 0.1, 0.9, 1), 40)
-        bundle = fo.oracle_observables(result.state, n_max=6)
-        assert bundle["pnd"].shape == (7,)
-        assert bundle["var_x"] > 0
-        assert -1.0 <= bundle["parity"] <= 1.0
-
     def test_wigner_grid_matches_closed_form(self):
         params = CircuitParams(0.7, 0.1, 0.1, 0.9, 3)
         result = fo.run_pipeline(params, 40)
@@ -367,5 +388,5 @@ class TestOracleObservables:
         for m in (1, 2):
             params = CircuitParams(0.5, 0.0, 0.0, 0.999, m)
             result = fo.run_pipeline(params, 40)
-            target = fo.photon_subtracted_target(0.5, m, result.cutoff)
-            assert fo.fidelity(result.state, target) >= 0.999
+            target = ref.photon_subtracted_target(0.5, m, result.cutoff)
+            assert ref.fidelity(result.state, target) >= 0.999

@@ -234,6 +234,23 @@ class TestPhotonNumberDistribution:
             dist = obs.pnd_vector(params)
             assert dist.sum() >= 1.0 - 1e-8
 
+    @pytest.mark.parametrize("m", [0, 1, 3, 8])
+    def test_vector_equals_per_entry_loop(self, m):
+        # the array form must keep the per-n arithmetic: equal, not close
+        params = CircuitParams(1.1, 0.2, 0.05, 0.93, m)
+        n_max = 60
+        dc = derived_coefficients(params)
+        pd = obs.success_probability(params)
+        caps = (m, m, n_max, n_max)
+        box = obs.taylor_coefficient_box(obs._pnd_exponent(dc), caps, max_total_order=sum(caps))
+        norm = pd * math.sqrt(dc.eps4 * dc.kappa4)
+        expected = [
+            min(max(complex(box[m, m, n, n]).real
+                    * math.factorial(m) * math.factorial(n) / norm, 0.0), 1.0)
+            for n in range(n_max + 1)
+        ]
+        assert obs.pnd_vector(params, n_max).tolist() == expected
+
     def test_fixed_length(self):
         dist = obs.pnd_vector(CircuitParams(0.5, 0, 0, 0.9, 1), 12)
         assert dist.shape == (13,)

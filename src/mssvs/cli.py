@@ -40,8 +40,8 @@ EXIT_CAP = 3
 
 DEFAULT_SWEEP_CAP = 1_000_000
 
-# Taylor-box cells (complex entries) of one batched p_d call in a sweep:
-# 16 MiB, which holds a 51 x 51 map in one call up to m = 19.
+# Cells (complex entries) of one batched call in a sweep: 16 MiB, which
+# holds a 51 x 51 p_d map in one call up to m = 19.
 _PD_BATCH_CELLS = 1 << 20
 
 # Least value of each integer sweep option: a photon-number cutoff and a
@@ -246,20 +246,17 @@ class ResultTable:
             raise
 
 
-def _observable_columns(spec: SweepSpec) -> list[str]:
-    columns: list[str] = []
-    for name in spec.observables:
-        if name == "prob":
-            columns.append("p_d")
-        elif name == "variances":
-            columns.extend(["var_x", "var_p"])
-        elif name == "threshold":
-            columns.extend(["r_c", "squeezing"])
-        elif name == "pnd":
-            columns.extend(f"pnd_{n}" for n in range(spec.pnd_max + 1))
-        elif name == "wigner":
-            columns.extend(["w_origin", "w_min"])
-    return columns
+def _columns(spec: SweepSpec, name: str) -> list[str]:
+    """CSV columns of one observable."""
+    if name == "prob":
+        return ["p_d"]
+    if name == "variances":
+        return ["var_x", "var_p"]
+    if name == "threshold":
+        return ["r_c", "squeezing"]
+    if name == "pnd":
+        return [f"pnd_{n}" for n in range(spec.pnd_max + 1)]
+    return ["w_origin", "w_min"]
 
 
 def _threshold_key(values: dict) -> tuple:
@@ -272,59 +269,51 @@ def _threshold_scan(key: tuple) -> observables.SqueezingScan:
     return observables.squeezing_threshold_scan(*key)
 
 
-def _success_column(params: list[CircuitParams]) -> np.ndarray:
-    """p_d of every point: one batched call per distinct m.
+# Observables whose columns are filled by one batched call per chunk of
+# heralded rows; p_d and the threshold are filled separately.
+_BATCHED = ("variances", "pnd", "wigner")
 
-    A batch is capped at ``_PD_BATCH_CELLS`` Taylor-box cells, so a large
-    sweep at large m is split rather than allocating one huge box.
+
+def _cells_per_row(spec: SweepSpec, m: int) -> int:
+    """Cells one row adds to a batched call: its Taylor-box cells, or grid
+    points x (m + 1) for the Wigner powers, whichever is largest."""
+    box = (m + 1) ** 2
+    cells = box
+    if "variances" in spec.observables:
+        cells = max(cells, box * 9)
+    if "pnd" in spec.observables:
+        cells = max(cells, box * (spec.pnd_max + 1) ** 2)
+    if "wigner" in spec.observables:
+        cells = max(cells, spec.wigner_points**2 * (m + 1))
+    return cells
+
+
+def _chunks(rows: list[int], cells_per_row: int) -> list[list[int]]:
+    """``rows`` split into runs that keep a call within ``_PD_BATCH_CELLS`` cells,
+    so a large sweep at large m is split rather than allocating one huge box."""
+    size = max(1, _PD_BATCH_CELLS // cells_per_row)
+    return [rows[start:start + size] for start in range(0, len(rows), size)]
+
+
+def _evaluate_chunk(task) -> dict[str, list[list]]:
+    """Cells of the batched observables for heralded rows that share m.
+
+    One batched call per column; each column holds one list of cells per
+    row. Module-level so process pools can pickle it.
     """
-    pd = np.empty(len(params))
-    rows_by_m: dict[int, list[int]] = {}
-    for i, point in enumerate(params):
-        rows_by_m.setdefault(point.m, []).append(i)
-    for m, rows in rows_by_m.items():
-        size = max(1, _PD_BATCH_CELLS // (m + 1) ** 2)
-        for start in range(0, len(rows), size):
-            batch = rows[start:start + size]
-            pd[batch] = observables.success_probability([params[i] for i in batch])
-    return pd
-
-
-def _evaluate_sweep_point(task) -> list:
-    """One sweep row; module-level so process pools can pickle it.
-
-    ``pd`` is the row's entry of the batched p_d column and ``scan`` its
-    precomputed threshold scan, or None when the sweep does not ask for
-    the threshold. Only variances, pnd and wigner are evaluated here.
-    """
-    params, spec, scan, pd = task
-    heralded = pd > 0.0
-    row: list = []
-    for name in spec.observables:
-        if name == "prob":
-            row.append(pd)
-        elif name == "variances":
-            if heralded:
-                var = observables.variances(params)
-                row.extend([var.var_x, var.var_p])
-            else:
-                row.extend([None, None])
-        elif name == "threshold":
-            row.extend([scan.r_c, scan.status])
-        elif name == "pnd":
-            if heralded:
-                row.extend(float(v) for v in observables.pnd_vector(params, spec.pnd_max))
-            else:
-                row.extend([None] * (spec.pnd_max + 1))
-        elif name == "wigner":
-            if heralded:
-                axis = np.linspace(-spec.wigner_range, spec.wigner_range, spec.wigner_points)
-                w = observables.wigner_array(params, axis, axis)
-                origin = observables.wigner(params, 0.0, 0.0).w
-                row.extend([origin, float(w.min())])
-            else:
-                row.extend([None, None])
-    return row
+    points, spec = task
+    cells: dict[str, list[list]] = {}
+    if "variances" in spec.observables:
+        var = observables.variances(points)
+        cells["variances"] = [list(pair) for pair in zip(var.var_x.tolist(), var.var_p.tolist())]
+    if "pnd" in spec.observables:
+        cells["pnd"] = observables.pnd_vector(points, spec.pnd_max).tolist()
+    if "wigner" in spec.observables:
+        axis = np.linspace(-spec.wigner_range, spec.wigner_range, spec.wigner_points)
+        origin = observables.wigner_array(points, [0.0], [0.0]).ravel()
+        w_min = observables.wigner_array(points, axis, axis).min(axis=(1, 2))
+        cells["wigner"] = [list(pair) for pair in zip(origin.tolist(), w_min.tolist())]
+    return cells
 
 
 def _cmd_point(args) -> int:
@@ -398,30 +387,46 @@ def _cmd_sweep(args) -> int:
         CircuitParams(r=v["r"], eta1=v["eta1"], eta2=v["eta2"], T=v["T"], m=int(v["m"]))
         for v in points
     ]
-    pd = _success_column(params)
-    # r_c does not depend on r: one scan per distinct key, shared by its rows.
+    rows_by_m: dict[int, list[int]] = {}
+    for i, point in enumerate(params):
+        rows_by_m.setdefault(point.m, []).append(i)
+    pd = np.empty(count)
+    for m, rows in rows_by_m.items():
+        for chunk in _chunks(rows, (m + 1) ** 2):
+            pd[chunk] = observables.success_probability([params[i] for i in chunk])
+    batched = [name for name in _BATCHED if name in spec.observables]
+    chunks = []
+    if batched:
+        for m, rows in rows_by_m.items():
+            heralded = [i for i in rows if pd[i] > 0.0]
+            chunks.extend(_chunks(heralded, _cells_per_row(spec, m)))
+    tasks = [([params[i] for i in chunk], spec) for chunk in chunks]
+    # r_c does not depend on r: one scan per distinct key, shared by its
+    # rows. A key none of whose rows heralds gets empty cells, like the
+    # other observables of an unheralded row.
     keys = (
-        list(dict.fromkeys(map(_threshold_key, points)))
+        list(dict.fromkeys(_threshold_key(points[i]) for i in range(count) if pd[i] > 0.0))
         if "threshold" in spec.observables else []
     )
-
-    def tasks(scans: list) -> list:
-        by_key = dict(zip(keys, scans))
-        return [
-            (point, spec, by_key.get(_threshold_key(values)), point_pd)
-            for values, point, point_pd in zip(points, params, pd)
-        ]
-
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             scans = list(pool.map(_threshold_scan, keys))
-            results = list(pool.map(_evaluate_sweep_point, tasks(scans), chunksize=16))
+            results = list(pool.map(_evaluate_chunk, tasks))
     else:
         scans = [_threshold_scan(key) for key in keys]
-        results = [_evaluate_sweep_point(task) for task in tasks(scans)]
+        results = [_evaluate_chunk(task) for task in tasks]
+
+    # Unheralded rows keep empty cells.
+    cells = {name: [[None] * len(_columns(spec, name))] * count for name in batched}
+    for chunk, result in zip(chunks, results):
+        for name, column in result.items():
+            for i, row_cells in zip(chunk, column):
+                cells[name][i] = row_cells
+    by_key = dict(zip(keys, scans))
 
     axis_names = [name for name, _ in spec.axes]
-    table = ResultTable(columns=axis_names + _observable_columns(spec))
+    columns = [column for name in spec.observables for column in _columns(spec, name)]
+    table = ResultTable(columns=axis_names + columns)
     table.metadata.append(f"mssvs sweep v{__version__}")
     if not args.no_timestamp:
         table.metadata.append(f"generated: {_timestamp()}")
@@ -432,9 +437,17 @@ def _cmd_sweep(args) -> int:
         )
         table.metadata.append(f"fixed: {fixed}")
     table.metadata.append(f"observables: {','.join(spec.observables)}")
-    for values, row in zip(points, results):
-        axis_cells = [values[name] for name in axis_names]
-        table.rows.append(axis_cells + row)
+    for i, values in enumerate(points):
+        row = [values[name] for name in axis_names]
+        for name in spec.observables:
+            if name == "prob":
+                row.append(pd[i])
+            elif name == "threshold":
+                scan = by_key.get(_threshold_key(values))
+                row.extend([None, None] if scan is None else [scan.r_c, scan.status])
+            else:
+                row.extend(cells[name][i])
+        table.rows.append(row)
     try:
         table.write_csv(args.output)
     except OSError as exc:

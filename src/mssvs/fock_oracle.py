@@ -114,11 +114,13 @@ def _svs_probabilities_extended(r: float, tail_tol: float) -> np.ndarray:
         count *= 2
 
 
-def required_cutoff(r: float, tail_tol: float) -> int:
-    """Smallest cutoff whose tail mass (above cutoff - 4) stays below tol."""
-    if r == 0.0:
-        return 1
-    probs = _svs_probabilities_extended(r, tail_tol)
+def _tail_mass(probs: np.ndarray, cutoff: int) -> float:
+    """Probability mass at and above ``cutoff - 4``."""
+    return float(probs[max(cutoff - _TAIL_MARGIN + 1, 0):].sum())
+
+
+def _sufficient_cutoff(probs: np.ndarray, tail_tol: float) -> int:
+    """Smallest cutoff whose tail mass in ``probs`` stays below tol."""
     suffix = np.cumsum(probs[::-1])[::-1]
     # suffix[i] = total mass at photon numbers >= i; cutoff c is accepted
     # when suffix[c - 3] < tol
@@ -126,6 +128,21 @@ def required_cutoff(r: float, tail_tol: float) -> int:
         if suffix[start] < tail_tol:
             return start + _TAIL_MARGIN - 1
     raise CutoffTooSmallError(0, float(suffix[-1]), -1)
+
+
+def _check_tail(probs: np.ndarray, cutoff: int, tail_tol: float) -> None:
+    """Raise :class:`CutoffTooSmallError`, naming a sufficient cutoff, when
+    the mass ``cutoff`` leaves in the tail is not below ``tail_tol``."""
+    tail = _tail_mass(probs, cutoff)
+    if tail >= tail_tol:
+        raise CutoffTooSmallError(cutoff, tail, _sufficient_cutoff(probs, tail_tol))
+
+
+def required_cutoff(r: float, tail_tol: float) -> int:
+    """Smallest cutoff whose tail mass (above cutoff - 4) stays below tol."""
+    if r == 0.0:
+        return 1
+    return _sufficient_cutoff(_svs_probabilities_extended(r, tail_tol), tail_tol)
 
 
 def squeezed_vacuum(
@@ -147,11 +164,7 @@ def squeezed_vacuum(
     if cutoff < 1:
         raise ParameterDomainError(f"cutoff must be positive, got {cutoff}")
     if enforce_tail and r > 0.0:
-        probs = _svs_probabilities_extended(r, tail_tol)
-        start = max(cutoff - _TAIL_MARGIN + 1, 0)
-        tail = float(probs[start:].sum())
-        if tail >= tail_tol:
-            raise CutoffTooSmallError(cutoff, tail, required_cutoff(r, tail_tol))
+        _check_tail(_svs_probabilities_extended(r, tail_tol), cutoff, tail_tol)
     amp = _svs_amplitudes(r, cutoff)
     return FockState(amp / np.linalg.norm(amp))
 
@@ -267,22 +280,25 @@ def run_pipeline(
     """Simulate the full circuit and herald on m photons.
 
     Cutoff escalation happens twice over. The squeezed input must satisfy
-    its own tail criterion (``tail_tol``; first retry at
-    ``ESCALATED_CUTOFF``, then at the reported sufficient value).
+    its own tail criterion (``tail_tol``): a cutoff that fails it is
+    raised to ``ESCALATED_CUTOFF`` or the sufficient value, whichever is
+    larger, before any state is built.
     Heralding then re-weights high photon numbers, so the cutoff keeps
     growing, up to ``MAX_CUTOFF``, until the herald probability and the
     conditioned state's second photon moment are stationary to
     ``CONVERGENCE_TOL``; m-photon detection at high transmissivity needs
     visibly more room than the input alone.
     """
+    if cutoff < 1:
+        raise ParameterDomainError(f"cutoff must be positive, got {cutoff}")
     d = cutoff
-    try:
-        svs = squeezed_vacuum(params.r, d, tail_tol=tail_tol)
-    except CutoffTooSmallError as exc:
-        if not escalate:
-            raise
-        d = max(ESCALATED_CUTOFF, exc.required_cutoff)
-        svs = squeezed_vacuum(params.r, d, tail_tol=tail_tol)
+    if params.r > 0.0:
+        # one tail series serves the choice of cutoff and its check
+        probs = _svs_probabilities_extended(params.r, tail_tol)
+        if escalate and _tail_mass(probs, d) >= tail_tol:
+            d = max(ESCALATED_CUTOFF, _sufficient_cutoff(probs, tail_tol))
+        _check_tail(probs, d, tail_tol)
+    svs = squeezed_vacuum(params.r, d, tail_tol=tail_tol, enforce_tail=False)
     m = params.m
     if m >= d:
         raise ParameterDomainError(

@@ -42,11 +42,13 @@ PND_N_CAP = 64
 _FACTORIAL_N_MAX = 170
 
 # Squeezing-threshold search: coarse scan from THRESHOLD_R_MIN in steps of
-# THRESHOLD_SCAN_STEP, then bisection to THRESHOLD_R_TOL.
+# THRESHOLD_SCAN_STEP, then passes that split the bracket THRESHOLD_SPLIT
+# ways (four bisection steps each) until it is at most THRESHOLD_R_TOL wide.
 THRESHOLD_R_MIN = 1e-4
 THRESHOLD_SCAN_STEP = 0.05
 THRESHOLD_R_TOL = 1e-6
-THRESHOLD_MAX_ITERATIONS = 200
+THRESHOLD_SPLIT = 16
+THRESHOLD_MAX_PASSES = 50
 
 VACUUM_VARIANCE = 0.5
 
@@ -55,6 +57,11 @@ def _first(mask) -> int | None:
     """Flat index of the first true entry of ``mask``, or None."""
     hits = np.asarray(mask).ravel().nonzero()[0]
     return int(hits[0]) if hits.size else None
+
+
+def _nth(params: CircuitParams | Sequence[CircuitParams], i: int) -> CircuitParams:
+    """Point i of a sequence; a single point is its own only entry."""
+    return params if isinstance(params, CircuitParams) else params[i]
 
 
 @dataclass(frozen=True)
@@ -96,12 +103,15 @@ class WignerPoint:
 def _real_part(value, what: str, tol: float):
     """Real part of a complex value or array, checked entry by entry.
 
-    The error names ``what.format(i)`` for the first failing flat index i.
+    The error names ``what.format(k)`` for the last axis index k of the
+    first failing entry, so a batch of vectors names the entry's place in
+    its own vector.
     """
     i = _first(abs(value.imag) > tol * np.maximum(1.0, abs(value)))
     if i is not None:
+        where = np.unravel_index(i, np.shape(value))[-1:]
         raise NumericalConsistencyError(
-            f"{what.format(i)} has imaginary residue {np.ravel(value.imag)[i]:.3e} "
+            f"{what.format(*where)} has imaginary residue {np.ravel(value.imag)[i]:.3e} "
             f"beyond {tol:.0e}"
         )
     return value.real
@@ -151,9 +161,10 @@ def _moment_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
 
 def _pnd_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
     """Generating exponent in (mu, nu, s, t) for the photon-number law."""
+    batch = np.shape(dc.eps4)
     k32_over_k4 = dc.kappa3**2 / dc.kappa4
-    a = np.zeros((4, 4))
-    a[0, 1] = (
+    a = np.zeros((4, 4) + batch)
+    a[0, 1] = a[1, 0] = (
         1.0
         - dc.eps1 / dc.eps4
         + k32_over_k4 * (dc.kappa1 * dc.kappa5 + 4.0 * dc.kappa2 * dc.kappa6)
@@ -162,18 +173,23 @@ def _pnd_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
         dc.eps2 / dc.eps4
         - k32_over_k4 * (dc.kappa1 * dc.kappa6 + dc.kappa2 * dc.kappa5)
     )
-    a[2, 3] = 1.0 - dc.kappa1 / dc.kappa4
+    a[2, 3] = a[3, 2] = 1.0 - dc.kappa1 / dc.kappa4
     a[2, 2] = a[3, 3] = 2.0 * dc.kappa2 / dc.kappa4
-    a[0, 3] = a[1, 2] = dc.kappa3 * dc.kappa7 / dc.kappa4
-    a[0, 2] = a[1, 3] = dc.kappa3 * dc.kappa8 / dc.kappa4
-    a = a + np.triu(a, 1).T
-    return QuadraticExponent(a, np.zeros(4))
+    a[0, 3] = a[3, 0] = a[1, 2] = a[2, 1] = dc.kappa3 * dc.kappa7 / dc.kappa4
+    a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = dc.kappa3 * dc.kappa8 / dc.kappa4
+    return QuadraticExponent(a, np.zeros((4,) + batch))
 
 
-def _herald_probability(dc: DerivedCoefficients, m: int):
-    """p_d from the (m, m) Taylor coefficient of the herald exponent."""
-    box = taylor_coefficient_box(_herald_exponent(dc), (m, m))
-    raw = box[m, m] * (float(math.factorial(m)) * math.factorial(m))
+def _herald_probability(dc: DerivedCoefficients, m: int, coeff=None):
+    """p_d from ``coeff``, the (m, m) Taylor coefficient of the herald exponent.
+
+    Without ``coeff`` the herald exponent's own box supplies it. The moment
+    exponent at f = g = 0 is the herald exponent, so a moment box's
+    [m, m, 0, 0] entry serves as well.
+    """
+    if coeff is None:
+        coeff = taylor_coefficient_box(_herald_exponent(dc), (m, m))[m, m]
+    raw = coeff * (float(math.factorial(m)) * math.factorial(m))
     value = _real_part(raw, "success probability", _PROB_SLACK)
     value = value / (float(math.factorial(m)) * np.sqrt(dc.eps4))
     return _clamp_probability(value, "success probability")
@@ -193,17 +209,21 @@ def success_probability(
     return float(pd) if isinstance(params, CircuitParams) else pd
 
 
+def _require_heralded(params: CircuitParams | Sequence[CircuitParams], pd) -> None:
+    """Raise for the first point whose heralded state does not exist."""
+    i = _first(pd <= 0.0)
+    if i is not None:
+        raise UndefinedStateError(
+            f"herald probability vanishes at {_nth(params, i)}; the conditioned state "
+            f"is undefined"
+        )
+
+
 def _heralded(params: CircuitParams | Sequence[CircuitParams]):
     """Derived coefficients and p_d of points whose heralded state exists."""
     dc = derived_coefficients(params)
     pd = _herald_probability(dc, _photon_count(params))
-    i = _first(pd <= 0.0)
-    if i is not None:
-        point = params if isinstance(params, CircuitParams) else params[i]
-        raise UndefinedStateError(
-            f"herald probability vanishes at {point}; the conditioned state "
-            f"is undefined"
-        )
+    _require_heralded(params, pd)
     return dc, pd
 
 
@@ -223,9 +243,11 @@ def moment(params: CircuitParams, k: int, l: int) -> complex:
             f"moment orders above {_FACTORIAL_N_MAX} are out of range (k! overflows "
             f"a float), got ({k}, {l})"
         )
-    dc, pd = _heralded(params)
+    dc = derived_coefficients(params)
     m = params.m
     box = _moment_box(dc, m, k, l)
+    pd = _herald_probability(dc, m, box[m, m, 0, 0])
+    _require_heralded(params, pd)
     coeff = complex(box[m, m, k, l])
     raw = coeff * math.factorial(m) ** 2 * math.factorial(k) * math.factorial(l)
     return raw / (math.factorial(m) * pd * math.sqrt(dc.eps4))
@@ -237,11 +259,14 @@ def variances(params: CircuitParams | Sequence[CircuitParams]) -> QuadratureVari
     Assembled from <a†a>, <a†> and <a†²> as
     Var(X) = <a†a> - |<a†>|² + Re(<a†²> - <a†>²) + 1/2 and Var(P) with the
     real part subtracted instead. A sequence of points that share m gives
-    array fields, one entry per point, from one Taylor box.
+    array fields, one entry per point. p_d and the moments come from one
+    Taylor box.
     """
-    dc, pd = _heralded(params)
     m = _photon_count(params)
+    dc = derived_coefficients(params)
     box = _moment_box(dc, m, 2, 2)
+    pd = _herald_probability(dc, m, box[m, m, 0, 0])
+    _require_heralded(params, pd)
     scale = float(math.factorial(m)) / (pd * np.sqrt(dc.eps4))
     n_mean = box[m, m, 1, 1] * scale
     adag = box[m, m, 1, 0] * scale
@@ -262,6 +287,21 @@ class SqueezingScan:
     r_max: float
 
 
+def _sign_change(rs: list, values: list):
+    """First sign change of ``values`` over the increasing ``rs``.
+
+    Returns the bracketing pair as (lo, f_lo, hi, f_hi); an exact zero at
+    r gives the empty bracket (r, 0.0, r, 0.0). None when the sign never
+    changes.
+    """
+    for i, (r, f) in enumerate(zip(rs, values)):
+        if f == 0.0:
+            return r, f, r, f
+        if i and values[i - 1] * f < 0.0:
+            return rs[i - 1], values[i - 1], r, f
+    return None
+
+
 def squeezing_threshold_scan(
     m: int,
     T: float,
@@ -275,11 +315,14 @@ def squeezing_threshold_scan(
     A coarse grid from ``THRESHOLD_R_MIN`` in steps of
     ``THRESHOLD_SCAN_STEP``, ending at ``r_max`` itself, is evaluated in
     one batched ``variances`` call; its first sign change of Var(P) - 1/2
-    brackets the root, then bisection refines it to ``THRESHOLD_R_TOL``.
-    When no sign change exists the scan reports whether the state is
-    squeezed everywhere in (0, r_max] ("always-squeezed") or nowhere
-    ("never-squeezed"). An ``r_max`` that leaves nothing to scan above
-    ``THRESHOLD_R_MIN`` is a ``ParameterDomainError``.
+    brackets the root. Each refinement pass then evaluates the
+    ``THRESHOLD_SPLIT - 1`` interior points of an even split of the
+    bracket in one batched call and keeps the first sign change, until
+    the bracket is at most ``THRESHOLD_R_TOL`` wide. When no sign change
+    exists the scan reports whether the state is squeezed everywhere in
+    (0, r_max] ("always-squeezed") or nowhere ("never-squeezed"). An
+    ``r_max`` that leaves nothing to scan above ``THRESHOLD_R_MIN`` is a
+    ``ParameterDomainError``.
     """
     if not THRESHOLD_R_MIN < r_max < math.inf:
         raise ParameterDomainError(
@@ -287,47 +330,33 @@ def squeezing_threshold_scan(
             f"got {r_max}"
         )
 
-    def objective(r: float) -> float:
-        return variances(CircuitParams(r, eta1, eta2, T, m)).var_p - VACUUM_VARIANCE
+    def objective(rs: list) -> list:
+        points = [CircuitParams(r, eta1, eta2, T, m) for r in rs]
+        return (variances(points).var_p - VACUUM_VARIANCE).tolist()
 
     step = THRESHOLD_SCAN_STEP
     inner = (step * i for i in range(1, math.ceil(r_max / step) + 1))
     grid = [THRESHOLD_R_MIN, *(r for r in inner if THRESHOLD_R_MIN < r < r_max), r_max]
-    points = [CircuitParams(r, eta1, eta2, T, m) for r in grid]
-    values = variances(points).var_p - VACUUM_VARIANCE
-    lo, f_lo = grid[0], values[0]
-    if f_lo == 0.0:
-        return SqueezingScan(r_c=lo, status="threshold", r_max=r_max)
-    bracket = None
-    for hi, f_hi in zip(grid[1:], values[1:]):
-        if f_hi == 0.0:
-            return SqueezingScan(r_c=hi, status="threshold", r_max=r_max)
-        if f_lo * f_hi < 0.0:
-            bracket = (lo, f_lo, hi, f_hi)
-            break
-        lo, f_lo = hi, f_hi
+    values = objective(grid)
+    bracket = _sign_change(grid, values)
     if bracket is None:
-        status = "always-squeezed" if f_lo < 0.0 else "never-squeezed"
+        status = "always-squeezed" if values[-1] < 0.0 else "never-squeezed"
         return SqueezingScan(r_c=None, status=status, r_max=r_max)
 
     lo, f_lo, hi, f_hi = bracket
-    iterations = 0
-    while hi - lo > THRESHOLD_R_TOL:
-        iterations += 1
-        if iterations > THRESHOLD_MAX_ITERATIONS:
-            raise ConvergenceError(
-                f"bisection for the squeezing threshold did not converge: "
-                f"bracket [{lo}, {hi}], width {hi - lo:.3e} after "
-                f"{THRESHOLD_MAX_ITERATIONS} iterations"
-            )
-        mid = 0.5 * (lo + hi)
-        f_mid = objective(mid)
-        if f_mid == 0.0:
-            return SqueezingScan(r_c=mid, status="threshold", r_max=r_max)
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
+    for _ in range(THRESHOLD_MAX_PASSES):
+        if hi - lo <= THRESHOLD_R_TOL:
+            break
+        inner_rs = [lo + (hi - lo) * j / THRESHOLD_SPLIT for j in range(1, THRESHOLD_SPLIT)]
+        bracket = _sign_change([lo, *inner_rs, hi], [f_lo, *objective(inner_rs), f_hi])
+        if bracket is None:  # a NaN value hid the sign change
+            break
+        lo, f_lo, hi, f_hi = bracket
+    if hi - lo > THRESHOLD_R_TOL:
+        raise ConvergenceError(
+            f"the squeezing threshold search did not converge: bracket [{lo}, {hi}], "
+            f"width {hi - lo:.3e}"
+        )
     return SqueezingScan(r_c=0.5 * (lo + hi), status="threshold", r_max=r_max)
 
 
@@ -344,26 +373,33 @@ def squeezing_threshold(
 
 
 def _pnd_values(
-    params: CircuitParams, dc: DerivedCoefficients, pd: float, n_max: int
+    params: CircuitParams | Sequence[CircuitParams],
+    dc: DerivedCoefficients,
+    pd,
+    n_max: int,
 ) -> np.ndarray:
+    """P(0..n_max), one row per point of a batch, checked entry by entry."""
     if n_max > _FACTORIAL_N_MAX:
         raise ParameterDomainError(
             f"photon numbers above {_FACTORIAL_N_MAX} are out of range (n! overflows "
             f"a float), got n_max = {n_max}"
         )
-    m = params.m
+    m = _photon_count(params)
     caps = (m, m, n_max, n_max)
     box = taylor_coefficient_box(
         _pnd_exponent(dc), caps, max_total_order=max(DEFAULT_MAX_TOTAL_ORDER, sum(caps))
     )
-    norm = pd * math.sqrt(dc.eps4 * dc.kappa4)
+    # the diagonal over (s, t) comes last, after any batch axis
+    norm = np.asarray(pd * np.sqrt(dc.eps4 * dc.kappa4))[..., None]
     raw = _real_part(np.diagonal(box[m, m]), "P({})", _IMAG_TOL)
     factorials = np.array([float(math.factorial(n)) for n in range(n_max + 1)])
     values = raw * float(math.factorial(m)) * factorials / norm
     bad = _first(values < -_PND_NEGATIVE_TOL)
     if bad is not None:
+        point, n = divmod(bad, n_max + 1)
         raise NumericalConsistencyError(
-            f"P({bad}) = {values[bad]} is negative beyond tolerance at {params}"
+            f"P({n}) = {values.flat[bad]} is negative beyond tolerance at "
+            f"{_nth(params, point)}"
         )
     # where() rather than clip(), so that -0.0 and NaN pass as min/max left them
     return np.where(values > 1.0, 1.0, np.where(values < 0.0, 0.0, values))
@@ -377,7 +413,9 @@ def pnd(params: CircuitParams, n: int) -> float:
     return float(_pnd_values(params, dc, pd, n)[n])
 
 
-def pnd_vector(params: CircuitParams, n_max: int | None = None) -> np.ndarray:
+def pnd_vector(
+    params: CircuitParams | Sequence[CircuitParams], n_max: int | None = None
+) -> np.ndarray:
     """Photon-number distribution P(0..N).
 
     With explicit ``n_max`` (at most 170) the vector has fixed length
@@ -386,7 +424,13 @@ def pnd_vector(params: CircuitParams, n_max: int | None = None) -> np.ndarray:
     the vector is trimmed at the first index where the target is met. A
     vector that stops at ``PND_N_CAP`` can sum to less than
     1 - ``PND_TAIL_TOL``; callers that need the full mass check the sum.
+
+    A sequence of points that share m, with explicit ``n_max``, gives an
+    array of shape (points, n_max + 1) from one Taylor box; without
+    ``n_max`` it is a ``ValueError``.
     """
+    if n_max is None and not isinstance(params, CircuitParams):
+        raise ValueError("a sequence of points needs an explicit n_max")
     dc, pd = _heralded(params)
     if n_max is not None:
         return _pnd_values(params, dc, pd, n_max)
@@ -403,16 +447,19 @@ def pnd_vector(params: CircuitParams, n_max: int | None = None) -> np.ndarray:
         size *= 2
 
 
-def _wigner_values(params: CircuitParams, beta: np.ndarray) -> np.ndarray:
+def _wigner_values(
+    params: CircuitParams | Sequence[CircuitParams], beta: np.ndarray
+) -> np.ndarray:
     """Wigner function of the heralded state at each entry of a 1-d ``beta``.
 
     The Taylor box over (mu, nu) of the beta-independent quadratic part is
     computed once. Only the linear couplings depend on beta (mu couples to
     g7 beta + g8 beta*, nu to g8 beta + g7 beta*); they exponentiate into
-    polynomial factors, so each point is a contraction of that box.
+    polynomial factors, so each point is a contraction of that box. A
+    sequence of points that share m gives one row of values per point.
     """
     dc, pd = _heralded(params)
-    m = params.m
+    m = _photon_count(params)
     k9 = dc.kappa9
     k32_over_k9 = dc.kappa3**2 / k9
     env_mod = dc.kappa1 / k9 - 1.0 / (2.0 * k9)
@@ -430,28 +477,49 @@ def _wigner_values(params: CircuitParams, beta: np.ndarray) -> np.ndarray:
     g8 = env_mod * dc.kappa3 * dc.eps8 - 2.0 * env_quad * dc.kappa3 * dc.eps7
     g7 = env_mod * dc.kappa3 * dc.eps7 - 2.0 * env_quad * dc.kappa3 * dc.eps8
 
+    batch = np.shape(pd)
     quad_box = taylor_coefficient_box(
-        QuadraticExponent([[diag, cross], [cross, diag]], np.zeros(2)), (m, m)
+        QuadraticExponent([[diag, cross], [cross, diag]], np.zeros((2,) + batch)), (m, m)
     )
-    b_mu = g7 * beta + g8 * beta.conjugate()
-    b_nu = g8 * beta + g7 * beta.conjugate()
-    powers_mu = np.empty((beta.size, m + 1), dtype=complex)
-    powers_nu = np.empty((beta.size, m + 1), dtype=complex)
-    for d in range(m + 1):
-        # column i holds b^(m-i) / (m-i)! to pair with series order i
-        powers_mu[:, m - d] = b_mu**d / math.factorial(d)
-        powers_nu[:, m - d] = b_nu**d / math.factorial(d)
-    raw = np.einsum("ij,pi,pj->p", quad_box, powers_mu, powers_nu)
+
+    def per_point(value):
+        """A per-point coefficient as a column against the beta axis."""
+        return np.asarray(value)[..., None]
+
+    b_mu = per_point(g7) * beta + per_point(g8) * beta.conjugate()
+    b_nu = per_point(g8) * beta + per_point(g7) * beta.conjugate()
+    # column i holds b^(m-i) / (m-i)! to pair with series order i; the
+    # orders 0 and 1 are written as 1 and b, which is what b**d / d! gives
+    powers_mu = np.ones(b_mu.shape + (m + 1,), dtype=complex)
+    powers_nu = np.ones(b_nu.shape + (m + 1,), dtype=complex)
+    if m:
+        powers_mu[..., m - 1] = b_mu
+        powers_nu[..., m - 1] = b_nu
+    for d in range(2, m + 1):
+        powers_mu[..., m - d] = b_mu**d / math.factorial(d)
+        powers_nu[..., m - d] = b_nu**d / math.factorial(d)
+    # One contraction per point, laid out as a lone point's, so a value
+    # does not depend on the batch it is computed in.
+    boxes = np.ascontiguousarray(np.moveaxis(quad_box.reshape(m + 1, m + 1, -1), -1, 0))
+    rows = (-1, beta.size, m + 1)
+    raw = np.array([
+        np.einsum("ij,pi,pj->p", box, mu, nu)
+        for box, mu, nu in zip(boxes, powers_mu.reshape(rows), powers_nu.reshape(rows))
+    ]).reshape(batch + beta.shape)
     raw *= math.factorial(m) ** 2
 
     envelope = np.exp(
-        -env_mod * np.abs(beta) ** 2 + env_quad * (beta**2 + np.conj(beta) ** 2).real
+        -per_point(env_mod) * np.abs(beta) ** 2
+        + per_point(env_quad) * (beta**2 + np.conj(beta) ** 2).real
     )
-    values = raw * envelope / (math.pi * math.factorial(m) * pd * math.sqrt(dc.eps4 * dc.kappa9))
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if residue > _IMAG_TOL:
+    norm = math.pi * math.factorial(m) * pd * np.sqrt(dc.eps4 * dc.kappa9)
+    values = raw * envelope / per_point(norm)
+    residue = np.abs(values.imag).max(axis=-1, initial=0.0)
+    i = _first(residue > _IMAG_TOL)
+    if i is not None:
         raise NumericalConsistencyError(
-            f"Wigner function has imaginary residue {residue:.3e} beyond {_IMAG_TOL:.0e}"
+            f"Wigner function has imaginary residue {np.ravel(residue)[i]:.3e} beyond "
+            f"{_IMAG_TOL:.0e} at {_nth(params, i)}"
         )
     return values.real
 
@@ -462,14 +530,19 @@ def wigner(params: CircuitParams, x: float, y: float) -> WignerPoint:
     return WignerPoint(x=float(x), y=float(y), w=float(_wigner_values(params, beta)[0]))
 
 
-def wigner_array(params: CircuitParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def wigner_array(
+    params: CircuitParams | Sequence[CircuitParams], xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
     """Wigner function on the grid of 1-d axes ``xs`` and ``ys``.
 
-    Entry [i, j] is the value at beta = (xs[i] + i ys[j])/sqrt(2).
+    Entry [i, j] is the value at beta = (xs[i] + i ys[j])/sqrt(2). A
+    sequence of points that share m gives shape (points, len(xs),
+    len(ys)), entry [p, i, j] belonging to point p, from one Taylor box.
     """
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     beta = (gx + 1j * gy).ravel() / math.sqrt(2.0)
-    return _wigner_values(params, beta).reshape(gx.shape)
+    values = _wigner_values(params, beta)
+    return values.reshape(values.shape[:-1] + gx.shape)
 
 
 def wigner_grid(

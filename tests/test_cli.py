@@ -5,9 +5,10 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
-from mssvs import observables
+from mssvs import cli, observables
 from mssvs.circuit import CircuitParams
 from mssvs.cli import main, parse_sweep_spec, ResultTable, SweepSpecError
 
@@ -502,6 +503,83 @@ class TestSweep:
             capsys, "sweep", spec, "-o", parallel, "--jobs", "2", "--no-timestamp"
         )[0] == 0
         assert open(serial, "rb").read() == open(parallel, "rb").read()
+
+    # eta2 = 1 rows (no detection for m >= 1) and r = 0 rows sit between
+    # heralded rows; m = 0 heralds everywhere.
+    UNHERALDED_SPEC = (
+        "axis.r = 0,0.4,0.9\naxis.m = 0,1,3\naxis.eta2 = 0.1,1\nfixed.eta1 = 0.05\n"
+        "fixed.T = 0.9\nobservables = prob,variances,pnd,wigner,threshold\n"
+        "pnd.max = 5\nwigner.points = 7\nwigner.range = 2.5\n"
+    )
+
+    @staticmethod
+    def read_rows(path):
+        lines = [line for line in open(path).read().splitlines() if not line.startswith("#")]
+        header = lines[0].split(",")
+        return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+    def test_unheralded_rows_between_heralded_rows(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, self.UNHERALDED_SPEC)
+        serial, parallel = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
+        assert run_cli(capsys, "sweep", spec, "-o", serial, "--no-timestamp")[0] == 0
+        assert run_cli(
+            capsys, "sweep", spec, "-o", parallel, "--jobs", "2", "--no-timestamp"
+        )[0] == 0
+        assert open(serial, "rb").read() == open(parallel, "rb").read()
+
+        rows = self.read_rows(serial)
+        assert len(rows) == 18
+        axis = np.linspace(-2.5, 2.5, 7)
+        pnd_columns = [f"pnd_{n}" for n in range(6)]
+        heralded = 0
+        for row in rows:
+            eta2, m = float(row["eta2"]), int(float(row["m"]))
+            params = CircuitParams(float(row["r"]), 0.05, eta2, 0.9, m)
+            pd = observables.success_probability(params)
+            assert row["p_d"] == repr(pd)
+            threshold = [row["r_c"], row["squeezing"]]
+            if m > 0 and eta2 == 1.0:
+                # no row of this (m, T, eta1, eta2) heralds: no scan
+                assert threshold == ["", ""]
+            else:
+                scan = observables.squeezing_threshold_scan(m, 0.9, 0.05, eta2)
+                assert threshold == ["" if scan.r_c is None else repr(scan.r_c), scan.status]
+            cells = [row[c] for c in ["var_x", "var_p", *pnd_columns, "w_origin", "w_min"]]
+            if pd == 0.0:
+                assert cells == [""] * len(cells)
+                continue
+            heralded += 1
+            var = observables.variances(params)
+            assert [row["var_x"], row["var_p"]] == [repr(float(var.var_x)), repr(float(var.var_p))]
+            pnd = observables.pnd_vector(params, 5).tolist()
+            assert [row[c] for c in pnd_columns] == [repr(v) for v in pnd]
+            assert float(row["w_origin"]) == pytest.approx(
+                observables.wigner(params, 0.0, 0.0).w, rel=1e-12, abs=1e-15
+            )
+            assert float(row["w_min"]) == pytest.approx(
+                observables.wigner_array(params, axis, axis).min(), rel=1e-12, abs=1e-15
+            )
+        assert heralded == 10
+
+    def test_chunk_split_does_not_change_the_csv(self, tmp_path, capsys, monkeypatch):
+        spec = self.write_spec(tmp_path, self.UNHERALDED_SPEC)
+        original = observables.pnd_vector
+        batches = []
+
+        def recording(params, n_max=None):
+            batches.append(len(params))
+            return original(params, n_max)
+
+        monkeypatch.setattr(observables, "pnd_vector", recording)
+        whole, split = str(tmp_path / "whole.csv"), str(tmp_path / "split.csv")
+        assert run_cli(capsys, "sweep", spec, "-o", whole, "--no-timestamp")[0] == 0
+        # one call per m over its heralded rows
+        assert batches == [6, 2, 2]
+        del batches[:]
+        monkeypatch.setattr(cli, "_PD_BATCH_CELLS", 1)
+        assert run_cli(capsys, "sweep", spec, "-o", split, "--no-timestamp")[0] == 0
+        assert batches == [1] * 10
+        assert open(whole, "rb").read() == open(split, "rb").read()
 
     def test_one_threshold_scan_per_key(self, tmp_path, capsys, monkeypatch):
         original = observables.squeezing_threshold_scan

@@ -229,6 +229,34 @@ class TestHerald:
 
 
 class TestPipelineConsistency:
+    def test_escalation_builds_one_tail_series_and_raises_nothing(self, monkeypatch):
+        made, series = [], []
+
+        class Counting(CutoffTooSmallError):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        original = fo._svs_probabilities_extended
+
+        def counting(*args):
+            series.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fo, "CutoffTooSmallError", Counting)
+        monkeypatch.setattr(fo, "_svs_probabilities_extended", counting)
+        result = fo.run_pipeline(CircuitParams(1.0, 0.1, 0.1, 0.97, 3))
+        assert result.cutoff == 188
+        assert made == [] and len(series) == 1
+
+    def test_fixed_cutoff_raises_the_tail_error(self):
+        with pytest.raises(CutoffTooSmallError) as scalar:
+            fo.squeezed_vacuum(1.0, 40)
+        with pytest.raises(CutoffTooSmallError) as pipeline:
+            fo.run_pipeline(CircuitParams(1.0, 0.1, 0.1, 0.97, 3), 40, escalate=False)
+        assert str(pipeline.value) == str(scalar.value)
+        assert pipeline.value.required_cutoff == fo.required_cutoff(1.0, 1e-10)
+
     def test_fast_equals_reference(self):
         rng = np.random.default_rng(34)
         for _ in range(4):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mssvs.circuit import CircuitParams, derived_coefficients
-from mssvs.errors import ParameterDomainError, UndefinedStateError
+from mssvs.errors import NumericalConsistencyError, ParameterDomainError, UndefinedStateError
 from mssvs import observables as obs
 
 from test_genfunc import circuit_points
@@ -145,6 +145,31 @@ class TestVariances:
             assert var.var_x * var.var_p >= 0.25 - 1e-10
 
 
+def bisection_threshold(m, T, eta1, eta2, r_max):
+    """r_c by scalar calls: the coarse grid, then bisection of its first bracket."""
+
+    def excess(r):
+        return obs.variances(CircuitParams(r, eta1, eta2, T, m)).var_p - obs.VACUUM_VARIANCE
+
+    step = obs.THRESHOLD_SCAN_STEP
+    inner = [step * i for i in range(1, math.ceil(r_max / step) + 1)]
+    grid = [obs.THRESHOLD_R_MIN, *(r for r in inner if obs.THRESHOLD_R_MIN < r < r_max), r_max]
+    values = [excess(r) for r in grid]
+    for lo, hi, f_lo, f_hi in zip(grid, grid[1:], values, values[1:]):
+        if f_lo * f_hi < 0.0:
+            break
+    else:
+        return None
+    while hi - lo > obs.THRESHOLD_R_TOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = excess(mid)
+        if f_lo * f_mid < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
 class TestSqueezingThreshold:
     @pytest.mark.parametrize(
         "m,eta,expected",
@@ -182,11 +207,37 @@ class TestSqueezingThreshold:
 
         monkeypatch.setattr(obs, "variances", recording)
         scan = obs.squeezing_threshold_scan(1, 0.9, 0.0, 0.0, r_max=r_max)
-        assert len(batches) == 1
         grid = batches[0]
         assert grid[0] == obs.THRESHOLD_R_MIN and grid[-1] == r_max
         assert all(0 < b - a <= obs.THRESHOLD_SCAN_STEP + 1e-12 for a, b in zip(grid, grid[1:]))
         assert scan.status == ("threshold" if r_max > 0.7 else "never-squeezed")
+
+    @pytest.mark.parametrize("m,T,eta", [(1, 0.9, 0.0), (3, 0.9, 0.1), (5, 0.9, 0.05)])
+    def test_refinement_is_four_batched_passes(self, monkeypatch, m, T, eta):
+        original = obs.variances
+        batches = []
+
+        def recording(params):
+            assert not isinstance(params, CircuitParams), "scalar variances call"
+            batches.append(len(params))
+            return original(params)
+
+        monkeypatch.setattr(obs, "variances", recording)
+        scan = obs.squeezing_threshold_scan(m, T, eta, eta)
+        assert scan.status == "threshold"
+        assert len(batches) <= 1 + 4
+        assert batches[1:] == [obs.THRESHOLD_SPLIT - 1] * (len(batches) - 1)
+
+    @pytest.mark.parametrize(
+        "m,T,eta,r_max",
+        [(1, 0.9, 0.0, 3.0), (1, 0.9, 0.1, 0.73), (3, 0.9, 0.1, 2.5), (1, 0.5, 0.05, 3.0),
+         (5, 0.9, 0.05, 0.41), (3, 0.8, 0.2, 0.42), (3, 0.97, 0.0, 0.41)],
+    )
+    def test_matches_bisection(self, m, T, eta, r_max):
+        expected = bisection_threshold(m, T, eta, eta, r_max)
+        r_c = obs.squeezing_threshold(m, T, eta, eta, r_max=r_max)
+        assert expected is not None
+        assert abs(r_c - expected) <= obs.THRESHOLD_R_TOL
 
     @pytest.mark.parametrize("r_max", [-1.0, 0.0, obs.THRESHOLD_R_MIN, math.nan, math.inf])
     def test_unscanned_range_is_a_domain_error(self, r_max):
@@ -341,6 +392,65 @@ class TestBatchedPoints:
             assert_same_number(batch.var_x[i], single.var_x)
             assert_same_number(batch.var_p[i], single.var_p)
 
+    @pytest.mark.parametrize("m", range(9))
+    def test_pnd_vector_matches_per_point(self, m):
+        points = [p for p in circuit_points(m, count=12) if obs.success_probability(p) > 0]
+        batch = obs.pnd_vector(points, 6)
+        assert batch.shape == (len(points), 7)
+        for point, row in zip(points, batch):
+            for got, want in zip(row, obs.pnd_vector(point, 6)):
+                assert_same_number(got, want)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_wigner_array_matches_per_point(self, m):
+        points = [p for p in circuit_points(m, count=12) if obs.success_probability(p) > 0]
+        xs, ys = np.array([-1.5, 0.0, 0.4]), np.array([0.2, -2.0])
+        batch = obs.wigner_array(points, xs, ys)
+        assert batch.shape == (len(points), 3, 2)
+        for point, grid in zip(points, batch):
+            for got, want in zip(grid.ravel(), obs.wigner_array(point, xs, ys).ravel()):
+                assert_same_number(got, want)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda ps: obs.pnd_vector(ps, 4), lambda ps: obs.wigner_array(ps, [0.0], [0.0])],
+        ids=["pnd_vector", "wigner_array"],
+    )
+    def test_mixed_m_is_rejected_by_every_batched_form(self, call):
+        points = [CircuitParams(0.7, 0.1, 0.1, 0.9, 1), CircuitParams(0.7, 0.1, 0.1, 0.9, 2)]
+        with pytest.raises(ValueError, match="share one m"):
+            call(points)
+
+    def test_sequence_needs_explicit_n_max(self):
+        with pytest.raises(ValueError, match="n_max"):
+            obs.pnd_vector([CircuitParams(0.7, 0.1, 0.1, 0.9, 1)])
+
+    def test_negative_probability_in_a_batch(self):
+        bad = CircuitParams(5.0, 0.0, 0.0, 0.9, 1)  # P(0) = -3.9e-10 in double precision
+        with pytest.raises(NumericalConsistencyError) as scalar:
+            obs.pnd_vector(bad, 10)
+        good = CircuitParams(0.7, 0.1, 0.1, 0.9, 1)
+        with pytest.raises(NumericalConsistencyError) as batch:
+            obs.pnd_vector([good, bad, good], 10)
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda ps: obs.pnd_vector(ps, 4), lambda ps: obs.wigner_array(ps, [0.0], [0.5])],
+        ids=["pnd_vector", "wigner_array"],
+    )
+    def test_failing_point_in_a_batch_raises_its_own_error(self, call):
+        bad = CircuitParams(9.5, 0.0, 0.0, 0.5, 1)  # kappa9 < 0 in double precision
+        with pytest.raises(ParameterDomainError) as scalar:
+            call(bad)
+        good = CircuitParams(0.7, 0.1, 0.1, 0.9, 1)
+        with pytest.raises(ParameterDomainError) as batch:
+            call([good, bad])
+        assert str(batch.value) == str(scalar.value)
+        undefined = CircuitParams(0.7, 0.1, 1.0, 0.9, 1)
+        with pytest.raises(UndefinedStateError, match="eta2=1.0"):
+            call([good, undefined])
+
     def test_point_gives_a_float(self):
         assert type(obs.success_probability(CircuitParams(0.7, 0.1, 0.1, 0.9, 2))) is float
 
@@ -376,12 +486,15 @@ class TestBatchedPoints:
         lambda p: obs.variances([p, p]),
         lambda p: obs.moment(p, 1, 2),
         lambda p: obs.pnd_vector(p, 10),
+        lambda p: obs.pnd_vector([p, p], 10),
         lambda p: obs.wigner(p, 0.3, -0.2),
         lambda p: obs.wigner_grid(p, (-1, 1), (-1, 1), 3),
         lambda p: obs.wigner_array(p, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3)),
+        lambda p: obs.wigner_array([p, p], np.linspace(-1, 1, 3), np.linspace(-1, 1, 3)),
     ],
     ids=["success_probability", "success_probability_batch", "variances", "variances_batch",
-         "moment", "pnd_vector", "wigner", "wigner_grid", "wigner_array"],
+         "moment", "pnd_vector", "pnd_vector_batch", "wigner", "wigner_grid", "wigner_array",
+         "wigner_array_batch"],
 )
 def test_one_coefficient_evaluation_per_call(monkeypatch, call):
     calls = []

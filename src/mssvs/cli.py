@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -282,7 +283,8 @@ def _cells_per_row(spec: SweepSpec, m: int) -> int:
     if "variances" in spec.observables:
         cells = max(cells, box * 9)
     if "pnd" in spec.observables:
-        cells = max(cells, box * (spec.pnd_max + 1) ** 2)
+        k = min(2 * m, spec.pnd_max)
+        cells = max(cells, box * (k + 1) ** 2 + (spec.pnd_max + 1) ** 2)
     if "wigner" in spec.observables:
         cells = max(cells, spec.wigner_points**2 * (m + 1))
     return cells
@@ -358,9 +360,29 @@ def _cmd_point(args) -> int:
     document["metadata"] = {"tool": f"mssvs {__version__}"}
     if not args.no_timestamp:
         document["metadata"]["timestamp"] = _timestamp()
-    json.dump(document, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_point_json(document) + "\n")
     return EXIT_OK
+
+
+def _point_json(document: dict) -> str:
+    """``json.dumps(document, indent=2)``, with the Wigner grid's rows written here.
+
+    With ``indent`` set, ``json`` encodes in pure Python, and the grid holds
+    nearly every number of the document. Its rows are rendered in the same
+    layout by ``float.__repr__``, which is what ``json`` uses for a finite
+    float (every grid value is finite), and spliced into the rest.
+    """
+    grid = document["wigner"]
+    if grid is None:
+        return json.dumps(document, indent=2)
+    marker = json.dumps("w-grid")
+    head, tail = json.dumps({**document, "wigner": {**grid, "w": "w-grid"}}, indent=2).split(marker)
+    # "w" sits two objects deep: rows at six spaces, values at eight
+    rows = ",\n      ".join(
+        "[\n        " + ",\n        ".join(map(float.__repr__, row)) + "\n      ]"
+        for row in grid["w"]
+    )
+    return f"{head}[\n      {rows}\n    ]{tail}"
 
 
 def _cmd_sweep(args) -> int:
@@ -547,7 +569,9 @@ def _cmd_threshold(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="mssvs",
         description=(

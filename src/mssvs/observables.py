@@ -3,11 +3,15 @@
 Success probability, normally-ordered moments, quadrature variances,
 photon-number distribution and the Wigner function are all evaluated by
 differentiating exponential-quadratic generating functions built from the
-derived coefficient set of :mod:`mssvs.circuit`, read off one genfunc
-Taylor box each. Every public call evaluates that coefficient set once
-and shares it between p_d and the observable. Closed forms for the
-plain squeezed vacuum (the lossless, no-subtraction baseline) live here
-as well.
+derived coefficient set of :mod:`mssvs.circuit`, read off genfunc Taylor
+boxes. Every public call evaluates that coefficient set once and shares
+it between p_d and the observable. The photon-number distribution splits
+its exponent in two: a box over (mu, nu, s, t) without the (s, t) block,
+whose (m, m) coefficient is a polynomial of degree at most 2m in (s, t),
+and a box over the (s, t) block alone; P(n) is their convolution along
+the diagonal, with no box of (m + 1)^2 (n + 1)^2 cells. Closed forms for
+the plain squeezed vacuum (the lossless, no-subtraction baseline) live
+here as well.
 """
 
 from __future__ import annotations
@@ -159,8 +163,16 @@ def _moment_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
     return QuadraticExponent(a, np.zeros((4,) + batch))
 
 
-def _pnd_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
-    """Generating exponent in (mu, nu, s, t) for the photon-number law."""
+def _pnd_exponents(dc: DerivedCoefficients) -> tuple[QuadraticExponent, QuadraticExponent]:
+    """Generating exponent in (mu, nu, s, t) for the photon-number law, split.
+
+    The first exponent is the whole one with its (s, t) block set to zero,
+    the second is that (s, t) block alone over (s, t); their sum is the
+    exponent whose [m, m, n, n] Taylor coefficient gives P(n). Both take
+    2s and 2t for s and t, so that coefficient comes out times 4^n: an
+    exact power of two, which keeps the coefficients up to n = 170 above
+    the subnormal range, where they would lose digits.
+    """
     batch = np.shape(dc.eps4)
     k32_over_k4 = dc.kappa3**2 / dc.kappa4
     a = np.zeros((4, 4) + batch)
@@ -173,11 +185,14 @@ def _pnd_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
         dc.eps2 / dc.eps4
         - k32_over_k4 * (dc.kappa1 * dc.kappa6 + dc.kappa2 * dc.kappa5)
     )
-    a[2, 3] = a[3, 2] = 1.0 - dc.kappa1 / dc.kappa4
-    a[2, 2] = a[3, 3] = 2.0 * dc.kappa2 / dc.kappa4
-    a[0, 3] = a[3, 0] = a[1, 2] = a[2, 1] = dc.kappa3 * dc.kappa7 / dc.kappa4
-    a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = dc.kappa3 * dc.kappa8 / dc.kappa4
-    return QuadraticExponent(a, np.zeros((4,) + batch))
+    a[0, 3] = a[3, 0] = a[1, 2] = a[2, 1] = 2.0 * (dc.kappa3 * dc.kappa7 / dc.kappa4)
+    a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = 2.0 * (dc.kappa3 * dc.kappa8 / dc.kappa4)
+    cross = 4.0 * (1.0 - dc.kappa1 / dc.kappa4)
+    diag = 4.0 * (2.0 * dc.kappa2 / dc.kappa4)
+    return (
+        QuadraticExponent(a, np.zeros((4,) + batch)),
+        QuadraticExponent([[diag, cross], [cross, diag]], np.zeros((2,) + batch)),
+    )
 
 
 def _herald_probability(dc: DerivedCoefficients, m: int, coeff=None):
@@ -227,10 +242,10 @@ def _heralded(params: CircuitParams | Sequence[CircuitParams]):
     return dc, pd
 
 
-def _moment_box(dc: DerivedCoefficients, m: int, k_cap: int, l_cap: int) -> np.ndarray:
-    caps = (m, m, k_cap, l_cap)
+def _box(exponent: QuadraticExponent, caps: tuple[int, ...]) -> np.ndarray:
+    """Taylor box without the total-order cap; callers bound each order."""
     return taylor_coefficient_box(
-        _moment_exponent(dc), caps, max_total_order=max(DEFAULT_MAX_TOTAL_ORDER, sum(caps))
+        exponent, caps, max_total_order=max(DEFAULT_MAX_TOTAL_ORDER, sum(caps))
     )
 
 
@@ -245,7 +260,7 @@ def moment(params: CircuitParams, k: int, l: int) -> complex:
         )
     dc = derived_coefficients(params)
     m = params.m
-    box = _moment_box(dc, m, k, l)
+    box = _box(_moment_exponent(dc), (m, m, k, l))
     pd = _herald_probability(dc, m, box[m, m, 0, 0])
     _require_heralded(params, pd)
     coeff = complex(box[m, m, k, l])
@@ -264,7 +279,7 @@ def variances(params: CircuitParams | Sequence[CircuitParams]) -> QuadratureVari
     """
     m = _photon_count(params)
     dc = derived_coefficients(params)
-    box = _moment_box(dc, m, 2, 2)
+    box = _box(_moment_exponent(dc), (m, m, 2, 2))
     pd = _herald_probability(dc, m, box[m, m, 0, 0])
     _require_heralded(params, pd)
     scale = float(math.factorial(m)) / (pd * np.sqrt(dc.eps4))
@@ -372,28 +387,56 @@ def squeezing_threshold(
     return squeezing_threshold_scan(m, T, eta1, eta2, r_max=r_max).r_c
 
 
+def _pnd_diagonal(dc: DerivedCoefficients, m: int, n_max: int) -> np.ndarray:
+    """Taylor coefficients G[m, m, n, n] 4^n, n = 0..n_max, of the photon-number exponent.
+
+    The (s, t) block of the exponent does not involve the herald
+    variables, so the exponential factors into the coupling part, whose
+    (mu, nu) coefficient c[m, m] is a polynomial in (s, t) of total degree
+    at most 2m, times the series h of the (s, t) block:
+    G[m, m, n, n] = sum over i + j <= 2m of c[m, m, i, j] h[n - i, n - j].
+    Two small boxes replace one of (m + 1)^2 (n_max + 1)^2 cells. The sum
+    is one elementwise pass per (i, j) in a fixed order, so an entry does
+    not depend on n_max or on the batch it is computed in. A batch axis
+    comes before the n axis.
+    """
+    coupling, photon = _pnd_exponents(dc)
+    k = min(2 * m, n_max)
+    # c[i, j] as a column against the n axis
+    c = _box(coupling, (m, m, k, k))[m, m][..., None]
+    h = _box(photon, (n_max, n_max))
+    # h[n - i, n - j] for n = max(i, j)..n_max starts diagonal i - j of h
+    bands = {offset: np.diagonal(h, offset) for offset in range(-k, k + 1)}
+    diagonal = np.zeros(np.shape(dc.eps4) + (n_max + 1,), dtype=complex)
+    for i in range(k + 1):
+        for j in range(min(k, 2 * m - i) + 1):
+            start = max(i, j)
+            diagonal[..., start:] += c[i, j] * bands[i - j][..., : n_max + 1 - start]
+    return diagonal
+
+
 def _pnd_values(
     params: CircuitParams | Sequence[CircuitParams],
     dc: DerivedCoefficients,
     pd,
     n_max: int,
 ) -> np.ndarray:
-    """P(0..n_max), one row per point of a batch, checked entry by entry."""
+    """P(0..n_max), one row per point of a batch, checked entry by entry.
+
+    The coefficients come from the two-box split of ``_pnd_diagonal``;
+    P(n) is G[m, m, n, n] m! n! / (p_d sqrt(eps4 kappa4)).
+    """
     if n_max > _FACTORIAL_N_MAX:
         raise ParameterDomainError(
             f"photon numbers above {_FACTORIAL_N_MAX} are out of range (n! overflows "
             f"a float), got n_max = {n_max}"
         )
     m = _photon_count(params)
-    caps = (m, m, n_max, n_max)
-    box = taylor_coefficient_box(
-        _pnd_exponent(dc), caps, max_total_order=max(DEFAULT_MAX_TOTAL_ORDER, sum(caps))
-    )
-    # the diagonal over (s, t) comes last, after any batch axis
     norm = np.asarray(pd * np.sqrt(dc.eps4 * dc.kappa4))[..., None]
-    raw = _real_part(np.diagonal(box[m, m]), "P({})", _IMAG_TOL)
-    factorials = np.array([float(math.factorial(n)) for n in range(n_max + 1)])
-    values = raw * float(math.factorial(m)) * factorials / norm
+    raw = _real_part(_pnd_diagonal(dc, m, n_max), "P({})", _IMAG_TOL)
+    # n! / 4^n undoes the diagonal's 4^n; both are exact in binary
+    scales = np.array([math.ldexp(math.factorial(n), -2 * n) for n in range(n_max + 1)])
+    values = raw * float(math.factorial(m)) * scales / norm
     bad = _first(values < -_PND_NEGATIVE_TOL)
     if bad is not None:
         point, n = divmod(bad, n_max + 1)
@@ -419,10 +462,10 @@ def pnd_vector(
     """Photon-number distribution P(0..N).
 
     With explicit ``n_max`` (at most 170) the vector has fixed length
-    n_max + 1. Otherwise N adapts: it grows until the cumulative
-    probability reaches 1 - ``PND_TAIL_TOL`` or N hits ``PND_N_CAP``, and
-    the vector is trimmed at the first index where the target is met. A
-    vector that stops at ``PND_N_CAP`` can sum to less than
+    n_max + 1. Otherwise P(0..``PND_N_CAP``) is evaluated once and trimmed
+    at the first index where the cumulative probability reaches
+    1 - ``PND_TAIL_TOL``; an entry does not depend on the length asked
+    for. A vector that runs to ``PND_N_CAP`` can sum to less than
     1 - ``PND_TAIL_TOL``; callers that need the full mass check the sum.
 
     A sequence of points that share m, with explicit ``n_max``, gives an
@@ -434,17 +477,9 @@ def pnd_vector(
     dc, pd = _heralded(params)
     if n_max is not None:
         return _pnd_values(params, dc, pd, n_max)
-    size = 16
-    while True:
-        size = min(size, PND_N_CAP)
-        values = _pnd_values(params, dc, pd, size)
-        cumulative = np.cumsum(values)
-        reached = np.nonzero(cumulative >= 1.0 - PND_TAIL_TOL)[0]
-        if reached.size:
-            return values[: reached[0] + 1]
-        if size >= PND_N_CAP:
-            return values
-        size *= 2
+    values = _pnd_values(params, dc, pd, PND_N_CAP)
+    reached = np.nonzero(np.cumsum(values) >= 1.0 - PND_TAIL_TOL)[0]
+    return values[: reached[0] + 1] if reached.size else values
 
 
 def _wigner_values(
@@ -486,34 +521,44 @@ def _wigner_values(
         """A per-point coefficient as a column against the beta axis."""
         return np.asarray(value)[..., None]
 
-    b_mu = per_point(g7) * beta + per_point(g8) * beta.conjugate()
-    b_nu = per_point(g8) * beta + per_point(g7) * beta.conjugate()
-    # column i holds b^(m-i) / (m-i)! to pair with series order i; the
-    # orders 0 and 1 are written as 1 and b, which is what b**d / d! gives
-    powers_mu = np.ones(b_mu.shape + (m + 1,), dtype=complex)
-    powers_nu = np.ones(b_nu.shape + (m + 1,), dtype=complex)
-    if m:
-        powers_mu[..., m - 1] = b_mu
-        powers_nu[..., m - 1] = b_nu
-    for d in range(2, m + 1):
-        powers_mu[..., m - d] = b_mu**d / math.factorial(d)
-        powers_nu[..., m - d] = b_nu**d / math.factorial(d)
-    # One contraction per point, laid out as a lone point's, so a value
-    # does not depend on the batch it is computed in.
-    boxes = np.ascontiguousarray(np.moveaxis(quad_box.reshape(m + 1, m + 1, -1), -1, 0))
-    rows = (-1, beta.size, m + 1)
-    raw = np.array([
-        np.einsum("ij,pi,pj->p", box, mu, nu)
-        for box, mu, nu in zip(boxes, powers_mu.reshape(rows), powers_nu.reshape(rows))
-    ]).reshape(batch + beta.shape)
-    raw *= math.factorial(m) ** 2
+    # Far from the origin the powers and the envelope overflow; that shows
+    # as a non-finite value, which is reported below instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_mu = per_point(g7) * beta + per_point(g8) * beta.conjugate()
+        b_nu = per_point(g8) * beta + per_point(g7) * beta.conjugate()
+        # column i holds b^(m-i) / (m-i)! to pair with series order i; the
+        # orders 0 and 1 are written as 1 and b, which is what b**d / d! gives
+        powers_mu = np.ones(b_mu.shape + (m + 1,), dtype=complex)
+        powers_nu = np.ones(b_nu.shape + (m + 1,), dtype=complex)
+        if m:
+            powers_mu[..., m - 1] = b_mu
+            powers_nu[..., m - 1] = b_nu
+        for d in range(2, m + 1):
+            powers_mu[..., m - d] = b_mu**d / math.factorial(d)
+            powers_nu[..., m - d] = b_nu**d / math.factorial(d)
+        # One contraction per point, laid out as a lone point's, so a value
+        # does not depend on the batch it is computed in.
+        boxes = np.ascontiguousarray(np.moveaxis(quad_box.reshape(m + 1, m + 1, -1), -1, 0))
+        rows = (-1, beta.size, m + 1)
+        raw = np.array([
+            np.einsum("ij,pi,pj->p", box, mu, nu)
+            for box, mu, nu in zip(boxes, powers_mu.reshape(rows), powers_nu.reshape(rows))
+        ]).reshape(batch + beta.shape)
+        raw *= math.factorial(m) ** 2
 
-    envelope = np.exp(
-        -per_point(env_mod) * np.abs(beta) ** 2
-        + per_point(env_quad) * (beta**2 + np.conj(beta) ** 2).real
-    )
-    norm = math.pi * math.factorial(m) * pd * np.sqrt(dc.eps4 * dc.kappa9)
-    values = raw * envelope / per_point(norm)
+        envelope = np.exp(
+            -per_point(env_mod) * np.abs(beta) ** 2
+            + per_point(env_quad) * (beta**2 + np.conj(beta) ** 2).real
+        )
+        norm = math.pi * math.factorial(m) * pd * np.sqrt(dc.eps4 * dc.kappa9)
+        values = raw * envelope / per_point(norm)
+    i = _first(~np.isfinite(values))
+    if i is not None:
+        point, j = divmod(i, beta.size)
+        raise NumericalConsistencyError(
+            f"Wigner function is not finite at beta = {complex(beta[j]):.6g} for "
+            f"{_nth(params, point)}"
+        )
     residue = np.abs(values.imag).max(axis=-1, initial=0.0)
     i = _first(residue > _IMAG_TOL)
     if i is not None:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,48 @@ class TestPoint:
         )
         assert code == 0
         assert json.loads(out)["pnd_truncated"] is False
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--m", "3", "--wigner-grid", "7"), ("--m", "0", "--wigner-grid", "1"),
+         ("--m", "2", "--wigner-grid", "4", "--range", "1e-320"), ("--m", "1",)],
+    )
+    def test_output_is_the_indent_2_json_encoding(self, capsys, extra):
+        code, out, _ = run_cli(
+            capsys, "point", "--r", "0.9", "--T", "0.9", "--eta1", "0.1", "--eta2", "0.1",
+            *extra,
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_grid_rows_are_written_as_json_writes_them(self):
+        values = [-0.0, 0.0, 5e-324, 1e-5, 1.0, 1e16, -1.7976931348623157e308, 0.1 + 0.2]
+        document = {
+            "p_d": 0.5, "pnd": [0.25, 0.75],
+            "wigner": {"range": 3.0, "points": 2, "x": [-3.0, 3.0], "y": [-3.0, 3.0],
+                       "w": [values[:4], values[4:]]},
+            "metadata": {"tool": "mssvs"},
+        }
+        assert cli._point_json(document) == json.dumps(document, indent=2)
+        document["wigner"]["w"] = [values]
+        assert cli._point_json(document) == json.dumps(document, indent=2)
+        document["wigner"] = None
+        assert cli._point_json(document) == json.dumps(document, indent=2)
+
+    def test_non_finite_wigner_value_is_an_error(self, capsys):
+        # |beta| = 1e200 overflows the grid's power columns and envelope
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "point", "--r", "1", "--T", ".9", "--eta1", ".1", "--eta2", ".1",
+                "--m", "3", "--wigner-grid", "3", "--range", "1e200", "--no-timestamp",
+            )
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: Wigner function is not finite")
+        assert "m=3" in lines[0]
 
     def test_deterministic(self, capsys):
         args = ("point", "--r", "0.4", "--m", "1", "--T", "0.9", "--no-timestamp")
@@ -581,6 +624,23 @@ class TestSweep:
         assert batches == [1] * 10
         assert open(whole, "rb").read() == open(split, "rb").read()
 
+    def test_non_finite_wigner_value_is_an_error(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, (
+            "axis.r = 0.5,0.8\nfixed.m = 2\nfixed.eta1 = 0.1\nfixed.eta2 = 0.1\n"
+            "fixed.T = 0.9\nobservables = prob,wigner\nwigner.range = 1e200\n"
+            "wigner.points = 5\n"
+        ))
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", spec, "-o", str(out_path), "--no-timestamp")
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: Wigner function is not finite")
+        assert not out_path.exists()
+
     def test_one_threshold_scan_per_key(self, tmp_path, capsys, monkeypatch):
         original = observables.squeezing_threshold_scan
         keys = []
@@ -643,6 +703,36 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert '"always-squeezed"' in proc.stdout
+
+
+    def test_parser_is_built_once_and_parses_like_a_fresh_process(self, capsys, monkeypatch):
+        import subprocess
+        import sys
+
+        monkeypatch.setenv("COLUMNS", "100")
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        requests = [
+            ["point", "--r", "0.6", "--T", "0.9", "--m", "2", "--wigner-grid", "3",
+             "--no-timestamp"],
+            ["threshold", "--m", "1", "--T", "0.9", "--no-timestamp"],
+            ["--help"],
+        ]
+        fresh = [
+            subprocess.run([sys.executable, "-m", "mssvs", *argv],
+                           capture_output=True, text=True, env=env)
+            for argv in requests
+        ]
+        # each request twice in this process, after the others
+        for argv, proc in zip(requests + requests, fresh + fresh):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help exits after printing
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestWithoutScipy:

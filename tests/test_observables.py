@@ -1,12 +1,14 @@
 """Closed-form observable tests: trivial limits, baselines, properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mssvs.circuit import CircuitParams, derived_coefficients
 from mssvs.errors import NumericalConsistencyError, ParameterDomainError, UndefinedStateError
+from mssvs.genfunc import QuadraticExponent
 from mssvs import observables as obs
 
 from test_genfunc import circuit_points
@@ -18,6 +20,63 @@ def assert_same_number(got, want):
         assert abs(got - want) <= 1e-15, (got, want)
     else:
         assert got == pytest.approx(want, rel=1e-12, abs=0), (got, want)
+
+
+def heralded(points):
+    return [p for p in points if obs.success_probability(p) > 0]
+
+
+def pnd_points(m):
+    """Seeded points plus the T = 0, T = 1, eta1 = 1 and r = 2.5 cases."""
+    rng = np.random.default_rng(90 + m)
+    points = [
+        CircuitParams(rng.uniform(0, 2.5), rng.uniform(0, 0.6), rng.uniform(0, 0.6),
+                      rng.uniform(0.02, 1), m)
+        for _ in range(5)
+    ]
+    edges = [(0.7, 0.1, 0.1, 0.0), (0.7, 0.1, 0.1, 1.0), (0.7, 1.0, 0.1, 0.9),
+             (2.5, 0.05, 0.05, 0.9)]
+    return points + [CircuitParams(*edge, m) for edge in edges]
+
+
+def four_variable_pnd(dc, pd, m, n_max):
+    """P(0..n_max) from the diagonal of one box over (mu, nu, s, t).
+
+    The reference for the two-box split: the whole exponent, its (s, t)
+    block put back, in a box with caps (m, m, n_max, n_max). Its s and t
+    carry the exponents' factor 2, so the diagonal carries 4^n and stays
+    out of the subnormal range up to n = 170; up to n = 64 the values are
+    bit for bit those of the unscaled box.
+    """
+    coupling, photon = obs._pnd_exponents(dc)
+    a = np.array(coupling.a)
+    a[2:, 2:] = photon.a
+    caps = (m, m, n_max, n_max)
+    box = obs.taylor_coefficient_box(
+        QuadraticExponent(a, coupling.b), caps, max_total_order=sum(caps)
+    )
+    raw = np.diagonal(box[m, m]).real
+    norm = np.asarray(pd * np.sqrt(dc.eps4 * dc.kappa4))[..., None]
+    scales = np.array([math.factorial(n) / 4.0**n for n in range(n_max + 1)])
+    values = raw * float(math.factorial(m)) * scales / norm
+    return np.where(values > 1.0, 1.0, np.where(values < 0.0, 0.0, values))
+
+
+def doubling_length(params):
+    """Length of the adaptive vector as grown 16 -> 32 -> 64 until the tail
+    target is met, the way adaptive ``pnd_vector`` used to evaluate it."""
+    dc = derived_coefficients(params)
+    pd = obs.success_probability(params)
+    size = 16
+    while True:
+        size = min(size, obs.PND_N_CAP)
+        values = obs._pnd_values(params, dc, pd, size)
+        reached = np.nonzero(np.cumsum(values) >= 1.0 - obs.PND_TAIL_TOL)[0]
+        if reached.size:
+            return reached[0] + 1
+        if size >= obs.PND_N_CAP:
+            return size + 1
+        size *= 2
 
 
 class TestSuccessProbability:
@@ -292,15 +351,53 @@ class TestPhotonNumberDistribution:
         n_max = 60
         dc = derived_coefficients(params)
         pd = obs.success_probability(params)
-        caps = (m, m, n_max, n_max)
-        box = obs.taylor_coefficient_box(obs._pnd_exponent(dc), caps, max_total_order=sum(caps))
+        diagonal = obs._pnd_diagonal(dc, m, n_max)
         norm = pd * math.sqrt(dc.eps4 * dc.kappa4)
         expected = [
-            min(max(complex(box[m, m, n, n]).real
-                    * math.factorial(m) * math.factorial(n) / norm, 0.0), 1.0)
+            min(max(complex(diagonal[n]).real
+                    * math.factorial(m) * (math.factorial(n) / 4.0**n) / norm, 0.0), 1.0)
             for n in range(n_max + 1)
         ]
         assert obs.pnd_vector(params, n_max).tolist() == expected
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_matches_the_four_variable_box(self, m):
+        points = heralded(pnd_points(m))
+        dc = derived_coefficients(points)
+        pd = obs.success_probability(points)
+        reference = four_variable_pnd(dc, pd, m, 64)
+        for n_max in (0, 1, 3, 10, 64):
+            for row, want in zip(obs.pnd_vector(points, n_max), reference):
+                for got, value in zip(row, want):
+                    assert_same_number(got, value)
+        # n_max = 170 at r = 2.5, where P(170) is not negligible; the
+        # reference box holds (m + 1)^2 171^2 cells
+        points = points[-1:]
+        dc = derived_coefficients(points)
+        reference = four_variable_pnd(dc, obs.success_probability(points), m, 170)
+        for row, want in zip(obs.pnd_vector(points, 170), reference):
+            for got, value in zip(row, want):
+                assert_same_number(got, value)
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 8])
+    def test_rows_equal_per_point_calls_and_shorter_vectors(self, m):
+        # an entry depends neither on its batch nor on the length asked for
+        points = heralded(pnd_points(m))
+        batch = obs.pnd_vector(points, obs.PND_N_CAP)
+        for point, row in zip(points, batch):
+            assert obs.pnd_vector(point, obs.PND_N_CAP).tolist() == row.tolist()
+            for n_max in (0, 3, 2 * m + 1, 16, 33):
+                assert obs.pnd_vector(point, n_max).tolist() == row[: n_max + 1].tolist()
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 8])
+    def test_adaptive_vector_is_the_capped_vector_trimmed(self, m):
+        for point in heralded(pnd_points(m)):
+            capped = obs.pnd_vector(point, obs.PND_N_CAP)
+            reached = np.nonzero(np.cumsum(capped) >= 1.0 - obs.PND_TAIL_TOL)[0]
+            length = reached[0] + 1 if reached.size else obs.PND_N_CAP + 1
+            adaptive = obs.pnd_vector(point)
+            assert adaptive.tolist() == capped[:length].tolist()
+            assert len(adaptive) == doubling_length(point)
 
     def test_fixed_length(self):
         dist = obs.pnd_vector(CircuitParams(0.5, 0, 0, 0.9, 1), 12)
@@ -363,6 +460,17 @@ class TestWigner:
     def test_negative_region_with_loss(self):
         grid = obs.wigner_grid(CircuitParams(0.7, 0.1, 0.1, 0.9, 1), (-3, 3), (-3, 3), 41)
         assert min(p.w for p in grid) < 0.0
+
+    def test_non_finite_value_raises_naming_the_first_failing_point(self):
+        # |beta| = 1e200 overflows the power columns and the envelope
+        first = CircuitParams(1.0, 0.1, 0.1, 0.9, 3)
+        second = CircuitParams(0.7, 0.2, 0.1, 0.9, 3)
+        for params in (first, [first, second]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalConsistencyError, match="not finite") as error:
+                    obs.wigner_array(params, [0.0, 1e200], [0.0])
+            assert str(error.value).endswith(str(first))
 
     def test_origin_matches_oracle(self):
         from mssvs import fock_oracle as fo

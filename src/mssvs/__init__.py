@@ -9,6 +9,7 @@ independent truncated-Fock-space oracle cross-checks every number.
 """
 
 from .circuit import (
+    CircuitColumns,
     CircuitParams,
     DerivedCoefficients,
     TwoModeGaussianCF,
@@ -57,6 +58,7 @@ from .observables import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CircuitColumns",
     "CircuitParams",
     "DerivedCoefficients",
     "TwoModeGaussianCF",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +79,48 @@ class CircuitParams:
         set_field(self, "eta1", check_parameter("eta1", self.eta1))
         set_field(self, "eta2", check_parameter("eta2", self.eta2))
         set_field(self, "T", check_parameter("T", self.T))
+
+
+@dataclass(frozen=True, eq=False)
+class CircuitColumns:
+    """A batch of points that share m, as parameter columns.
+
+    ``r``, ``eta1``, ``eta2`` and ``T`` become read-only 1-d float arrays
+    of one common length; a scalar among them is broadcast to that length.
+    Each distinct value of a column is checked once by
+    :func:`check_parameter`. ``columns[i]`` is point i as a
+    :class:`CircuitParams`, so errors about one point of a batch name it
+    the way they name a lone point.
+    """
+
+    r: np.ndarray
+    eta1: np.ndarray
+    eta2: np.ndarray
+    T: np.ndarray
+    m: int
+
+    def __post_init__(self):
+        set_field = object.__setattr__
+        names = ("r", "eta1", "eta2", "T")
+        columns = np.broadcast_arrays(*(np.array(getattr(self, n), dtype=float) for n in names))
+        if columns[0].ndim != 1:
+            raise ValueError(f"parameter columns must be 1-d, got shape {columns[0].shape}")
+        for name, column in zip(names, columns):
+            # In row order, so an error names the first bad value; np.unique
+            # would also import numpy.ma (30 ms, 1.3 MB) on its first call.
+            for value in dict.fromkeys(column.tolist()):
+                check_parameter(name, value)
+            column.flags.writeable = False
+            set_field(self, name, column)
+        set_field(self, "m", check_parameter("m", self.m))
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, i: int) -> CircuitParams:
+        return CircuitParams(
+            float(self.r[i]), float(self.eta1[i]), float(self.eta2[i]), float(self.T[i]), self.m
+        )
 
 
 @dataclass(frozen=True)
@@ -202,7 +243,7 @@ class DerivedCoefficients:
     """Coefficient set feeding every closed-form observable.
 
     All 21 entries are plain functions of the circuit parameters: floats
-    for one point, arrays for a sequence of points. The discriminants
+    for one point, arrays for :class:`CircuitColumns`. The discriminants
     eps4, kappa4 and kappa9 must be positive for the heralded-state
     formulas to be defined.
     """
@@ -230,7 +271,7 @@ class DerivedCoefficients:
     kappa9: float
 
 
-def _require_positive(points: tuple[CircuitParams, ...], eps4, kappa4, kappa9) -> None:
+def _require_positive(params: CircuitParams | CircuitColumns, eps4, kappa4, kappa9) -> None:
     """Raise for the first point where a discriminant is not positive."""
     failing = np.asarray((eps4 <= 0.0) | (kappa4 <= 0.0) | (kappa9 <= 0.0)).ravel().nonzero()[0]
     if failing.size:
@@ -238,29 +279,26 @@ def _require_positive(points: tuple[CircuitParams, ...], eps4, kappa4, kappa9) -
         for name, value in (("eps4", eps4), ("kappa4", kappa4), ("kappa9", kappa9)):
             value = np.ravel(value)[i]
             if value <= 0.0:
+                point = params if isinstance(params, CircuitParams) else params[i]
                 raise ParameterDomainError(
-                    f"discriminant {name} = {value} is not positive at {points[i]}"
+                    f"discriminant {name} = {value} is not positive at {point}"
                 )
 
 
-def derived_coefficients(
-    params: CircuitParams | Sequence[CircuitParams],
-) -> DerivedCoefficients:
-    """Evaluate the coefficient set at one point or along a sequence of points.
+def derived_coefficients(params: CircuitParams | CircuitColumns) -> DerivedCoefficients:
+    """Evaluate the coefficient set at one point or along parameter columns.
 
-    For a sequence every field is an array with one entry per point; a
+    For columns every field is an array with one entry per point; a
     failing discriminant raises ``ParameterDomainError`` naming the first
     point where it fails.
     """
     # lam comes from math.tanh, point by point: numpy's vectorized tanh can
     # differ in the last bit, which high-order Wigner values amplify.
     if isinstance(params, CircuitParams):
-        points = (params,)
-        lam, eta1, eta2, T = math.tanh(params.r), params.eta1, params.eta2, params.T
+        lam = math.tanh(params.r)
     else:
-        points = tuple(params)
-        columns = np.array([(math.tanh(p.r), p.eta1, p.eta2, p.T) for p in points])
-        lam, eta1, eta2, T = columns.reshape(-1, 4).T
+        lam = np.array([math.tanh(r) for r in params.r.tolist()])
+    eta1, eta2, T = params.eta1, params.eta2, params.T
     one_minus_lam2 = 1.0 - lam * lam
     keep1 = 1.0 - eta1
     keep2 = 1.0 - eta2
@@ -289,7 +327,7 @@ def derived_coefficients(
     kappa7 = kappa1 * eps7 - 2.0 * kappa2 * eps8
     kappa8 = kappa1 * eps8 - 2.0 * kappa2 * eps7
     kappa9 = (kappa1 - 0.5) ** 2 - 4.0 * kappa2 * kappa2
-    _require_positive(points, eps4, kappa4, kappa9)
+    _require_positive(params, eps4, kappa4, kappa9)
     return DerivedCoefficients(
         lam=lam,
         tau1=tau1,

@@ -23,13 +23,12 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import product
 
 import numpy as np
 
 from . import __version__, fock_oracle, observables, validation
-from .circuit import CircuitParams, check_parameter
-from .errors import MssvsError, ParameterDomainError
+from .circuit import CircuitColumns, CircuitParams, check_parameter
+from .errors import CapacityError, MssvsError, ParameterDomainError
 
 PARAM_NAMES = ("r", "eta1", "eta2", "T", "m")
 OBSERVABLE_NAMES = ("prob", "variances", "threshold", "pnd", "wigner")
@@ -55,17 +54,22 @@ class SweepSpecError(MssvsError):
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal form of a cell value."""
-    # Floats (numpy's float64 among them) first: they fill almost every cell.
-    if isinstance(value, float):
-        return repr(float(value))
+    """CSV cell of one value: empty for None, a string as it is, and a
+    number in its shortest round-trip decimal form."""
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
+
+
+def _float_cells(columns) -> list[str]:
+    """Each row's CSV cells of float columns, joined by commas; every value
+    is written as ``_fmt`` writes a float."""
+    cells = (map(float.__repr__, column) for column in np.asarray(columns).tolist())
+    return list(map(",".join, zip(*cells)))
 
 
 def _timestamp() -> str:
@@ -88,14 +92,6 @@ class SweepSpec:
         for _, values in self.axes:
             count *= len(values)
         return count
-
-    def points(self):
-        """Parameter dicts in lexicographic order over the axis indices."""
-        names = [name for name, _ in self.axes]
-        for combo in product(*(values for _, values in self.axes)):
-            params = dict(self.fixed)
-            params.update(zip(names, combo))
-            yield params
 
 
 def _parse_axis_values(name: str, text: str, lineno: int) -> tuple[float, ...]:
@@ -214,10 +210,14 @@ def parse_sweep_spec(text: str) -> SweepSpec:
 
 @dataclass
 class ResultTable:
-    """Column-labelled numeric records plus metadata comment lines."""
+    """Labelled columns of formatted CSV cells plus metadata comment lines.
+
+    ``cells`` holds, for each run of adjacent columns, one string per row:
+    that row's cells of those columns, joined by commas.
+    """
 
     columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    cells: list[list[str]] = field(default_factory=list)
     metadata: list[str] = field(default_factory=list)
 
     def write_csv(self, path: str) -> None:
@@ -238,8 +238,7 @@ class ResultTable:
                 for line in self.metadata:
                     fh.write(f"# {line}\n")
                 fh.write(",".join(self.columns) + "\n")
-                for row in self.rows:
-                    fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+                fh.writelines(",".join(row) + "\n" for row in zip(*self.cells))
             os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):
@@ -258,11 +257,6 @@ def _columns(spec: SweepSpec, name: str) -> list[str]:
     if name == "pnd":
         return [f"pnd_{n}" for n in range(spec.pnd_max + 1)]
     return ["w_origin", "w_min"]
-
-
-def _threshold_key(values: dict) -> tuple:
-    """The parameters r_c depends on: (m, T, eta1, eta2), not r."""
-    return int(values["m"]), values["T"], values["eta1"], values["eta2"]
 
 
 def _threshold_scan(key: tuple) -> observables.SqueezingScan:
@@ -290,31 +284,32 @@ def _cells_per_row(spec: SweepSpec, m: int) -> int:
     return cells
 
 
-def _chunks(rows: list[int], cells_per_row: int) -> list[list[int]]:
+def _chunks(rows: np.ndarray, cells_per_row: int) -> list[np.ndarray]:
     """``rows`` split into runs that keep a call within ``_PD_BATCH_CELLS`` cells,
     so a large sweep at large m is split rather than allocating one huge box."""
     size = max(1, _PD_BATCH_CELLS // cells_per_row)
     return [rows[start:start + size] for start in range(0, len(rows), size)]
 
 
-def _evaluate_chunk(task) -> dict[str, list[list]]:
-    """Cells of the batched observables for heralded rows that share m.
+def _evaluate_chunk(task) -> dict[str, list[str]]:
+    """CSV cells of the batched observables for heralded rows that share m.
 
-    One batched call per column; each column holds one list of cells per
-    row. Module-level so process pools can pickle it.
+    One batched call per observable over the task's ``CircuitColumns``;
+    each observable gives one string of comma-joined cells per row.
+    Module-level so process pools can pickle it.
     """
-    points, spec = task
-    cells: dict[str, list[list]] = {}
+    columns, spec = task
+    cells: dict[str, list[str]] = {}
     if "variances" in spec.observables:
-        var = observables.variances(points)
-        cells["variances"] = [list(pair) for pair in zip(var.var_x.tolist(), var.var_p.tolist())]
+        var = observables.variances(columns)
+        cells["variances"] = _float_cells([var.var_x, var.var_p])
     if "pnd" in spec.observables:
-        cells["pnd"] = observables.pnd_vector(points, spec.pnd_max).tolist()
+        cells["pnd"] = _float_cells(observables.pnd_vector(columns, spec.pnd_max).T)
     if "wigner" in spec.observables:
         axis = np.linspace(-spec.wigner_range, spec.wigner_range, spec.wigner_points)
-        origin = observables.wigner_array(points, [0.0], [0.0]).ravel()
-        w_min = observables.wigner_array(points, axis, axis).min(axis=(1, 2))
-        cells["wigner"] = [list(pair) for pair in zip(origin.tolist(), w_min.tolist())]
+        origin = observables.wigner_array(columns, [0.0], [0.0]).ravel()
+        w_min = observables.wigner_array(columns, axis, axis).min(axis=(1, 2))
+        cells["wigner"] = _float_cells([origin, w_min])
     return cells
 
 
@@ -386,6 +381,8 @@ def _point_json(document: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ParameterDomainError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = parse_sweep_spec(fh.read())
@@ -404,51 +401,65 @@ def _cmd_sweep(args) -> int:
         )
         return EXIT_CAP
 
-    points = list(spec.points())
-    params = [
-        CircuitParams(r=v["r"], eta1=v["eta1"], eta2=v["eta2"], T=v["T"], m=int(v["m"]))
-        for v in points
-    ]
-    rows_by_m: dict[int, list[int]] = {}
-    for i, point in enumerate(params):
-        rows_by_m.setdefault(point.m, []).append(i)
+    # One column per circuit parameter, rows in lexicographic order over
+    # the axis indices (C order).
+    index = np.indices([len(values) for _, values in spec.axes]).reshape(len(spec.axes), count)
+    params = {name: np.full(count, value) for name, value in spec.fixed.items()}
+    for (name, values), rows in zip(spec.axes, index):
+        params[name] = np.array(values)[rows]
+    ms = params["m"].astype(int)
+
+    def batch(rows: np.ndarray, m: int) -> CircuitColumns:
+        return CircuitColumns(*(params[name][rows] for name in ("r", "eta1", "eta2", "T")), m)
+
+    rows_by_m = {m: np.flatnonzero(ms == m) for m in dict.fromkeys(ms.tolist())}
     pd = np.empty(count)
     for m, rows in rows_by_m.items():
         for chunk in _chunks(rows, (m + 1) ** 2):
-            pd[chunk] = observables.success_probability([params[i] for i in chunk])
+            pd[chunk] = observables.success_probability(batch(chunk, m))
+    heralded = pd > 0.0
     batched = [name for name in _BATCHED if name in spec.observables]
-    chunks = []
+    chunks, tasks = [], []
     if batched:
         for m, rows in rows_by_m.items():
-            heralded = [i for i in rows if pd[i] > 0.0]
-            chunks.extend(_chunks(heralded, _cells_per_row(spec, m)))
-    tasks = [([params[i] for i in chunk], spec) for chunk in chunks]
-    # r_c does not depend on r: one scan per distinct key, shared by its
-    # rows. A key none of whose rows heralds gets empty cells, like the
-    # other observables of an unheralded row.
-    keys = (
-        list(dict.fromkeys(_threshold_key(points[i]) for i in range(count) if pd[i] > 0.0))
-        if "threshold" in spec.observables else []
-    )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            for chunk in _chunks(rows[heralded[rows]], _cells_per_row(spec, m)):
+                chunks.append(chunk)
+                tasks.append((batch(chunk, m), spec))
+    # r_c does not depend on r: one scan per distinct (m, T, eta1, eta2)
+    # key, shared by its rows. A key none of whose rows heralds gets empty
+    # cells, like the other observables of an unheralded row.
+    row_keys, keys = [], []
+    if "threshold" in spec.observables:
+        key_columns = (ms, params["T"], params["eta1"], params["eta2"])
+        row_keys = list(zip(*(column.tolist() for column in key_columns)))
+        keys = list(dict.fromkeys(k for k, h in zip(row_keys, heralded.tolist()) if h))
+    # Every worker is forked when the pool starts, so never more than
+    # there are CPUs or tasks.
+    workers = min(args.jobs, os.cpu_count() or 1, len(keys) + len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             scans = list(pool.map(_threshold_scan, keys))
             results = list(pool.map(_evaluate_chunk, tasks))
     else:
         scans = [_threshold_scan(key) for key in keys]
         results = [_evaluate_chunk(task) for task in tasks]
 
-    # Unheralded rows keep empty cells.
-    cells = {name: [[None] * len(_columns(spec, name))] * count for name in batched}
-    for chunk, result in zip(chunks, results):
-        for name, column in result.items():
-            for i, row_cells in zip(chunk, column):
-                cells[name][i] = row_cells
-    by_key = dict(zip(keys, scans))
-
-    axis_names = [name for name, _ in spec.axes]
-    columns = [column for name in spec.observables for column in _columns(spec, name)]
-    table = ResultTable(columns=axis_names + columns)
+    table = ResultTable(columns=[name for name, _ in spec.axes])
+    for (_, values), rows in zip(spec.axes, index):
+        table.cells.append(np.array([_fmt(v) for v in values], dtype=object)[rows].tolist())
+    for name in spec.observables:
+        table.columns.extend(_columns(spec, name))
+        if name == "prob":
+            table.cells.append(_float_cells([pd]))
+        elif name == "threshold":
+            by_key = {key: f"{_fmt(scan.r_c)},{scan.status}" for key, scan in zip(keys, scans)}
+            table.cells.append([by_key.get(key, ",") for key in row_keys])
+        else:
+            # Unheralded rows keep empty cells.
+            cells = np.full(count, "," * (len(_columns(spec, name)) - 1), dtype=object)
+            for chunk, result in zip(chunks, results):
+                cells[chunk] = result[name]
+            table.cells.append(cells.tolist())
     table.metadata.append(f"mssvs sweep v{__version__}")
     if not args.no_timestamp:
         table.metadata.append(f"generated: {_timestamp()}")
@@ -459,17 +470,6 @@ def _cmd_sweep(args) -> int:
         )
         table.metadata.append(f"fixed: {fixed}")
     table.metadata.append(f"observables: {','.join(spec.observables)}")
-    for i, values in enumerate(points):
-        row = [values[name] for name in axis_names]
-        for name in spec.observables:
-            if name == "prob":
-                row.append(pd[i])
-            elif name == "threshold":
-                scan = by_key.get(_threshold_key(values))
-                row.extend([None, None] if scan is None else [scan.r_c, scan.status])
-            else:
-                row.extend(cells[name][i])
-        table.rows.append(row)
     try:
         table.write_csv(args.output)
     except OSError as exc:
@@ -636,12 +636,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParameterDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MssvsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, ParameterDomainError):
+            return EXIT_USAGE
+        return EXIT_CAP if isinstance(exc, CapacityError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

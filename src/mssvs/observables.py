@@ -17,12 +17,17 @@ here as well.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, DerivedCoefficients, derived_coefficients
+from .circuit import (
+    CircuitColumns,
+    CircuitParams,
+    DerivedCoefficients,
+    check_parameter,
+    derived_coefficients,
+)
 from .errors import (
     ConvergenceError,
     NumericalConsistencyError,
@@ -63,8 +68,8 @@ def _first(mask) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _nth(params: CircuitParams | Sequence[CircuitParams], i: int) -> CircuitParams:
-    """Point i of a sequence; a single point is its own only entry."""
+def _nth(params: CircuitParams | CircuitColumns, i: int) -> CircuitParams:
+    """Point i of columns; a single point is its own only entry."""
     return params if isinstance(params, CircuitParams) else params[i]
 
 
@@ -72,8 +77,8 @@ def _nth(params: CircuitParams | Sequence[CircuitParams], i: int) -> CircuitPara
 class QuadratureVariances:
     """Variances of X = (a + a†)/sqrt(2) and P = (a - a†)/(sqrt(2) i).
 
-    Floats for one point, arrays for a sequence of points; every entry
-    is checked.
+    Floats for one point, arrays for parameter columns; every entry is
+    checked.
     """
 
     var_x: float | np.ndarray
@@ -129,18 +134,6 @@ def _clamp_probability(value, what: str):
             f"{what} = {np.ravel(value)[i]} is outside [0, 1]"
         )
     return np.minimum(np.maximum(value, 0.0), 1.0)
-
-
-def _photon_count(params: CircuitParams | Sequence[CircuitParams]) -> int:
-    """The heralded m of a point, or the one m a sequence of points shares."""
-    if isinstance(params, CircuitParams):
-        return params.m
-    if not isinstance(params, Sequence):
-        raise TypeError(f"expected a CircuitParams or a sequence of them, got {type(params)}")
-    counts = sorted({p.m for p in params})
-    if len(counts) > 1:
-        raise ValueError(f"a sequence of points must share one m, got m = {counts}")
-    return counts[0] if counts else 0
 
 
 def _herald_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
@@ -210,21 +203,18 @@ def _herald_probability(dc: DerivedCoefficients, m: int, coeff=None):
     return _clamp_probability(value, "success probability")
 
 
-def success_probability(
-    params: CircuitParams | Sequence[CircuitParams],
-) -> float | np.ndarray:
+def success_probability(params: CircuitParams | CircuitColumns) -> float | np.ndarray:
     """Probability that the detection arm registers exactly m photons.
 
-    One point gives a float. A sequence of points that share m gives an
-    array with one entry per point, from one coefficient evaluation and
-    one Taylor box; points with different m raise ``ValueError``.
+    One point gives a float. :class:`CircuitColumns` give an array with
+    one entry per point, from one coefficient evaluation and one Taylor
+    box.
     """
-    m = _photon_count(params)
-    pd = _herald_probability(derived_coefficients(params), m)
+    pd = _herald_probability(derived_coefficients(params), params.m)
     return float(pd) if isinstance(params, CircuitParams) else pd
 
 
-def _require_heralded(params: CircuitParams | Sequence[CircuitParams], pd) -> None:
+def _require_heralded(params: CircuitParams | CircuitColumns, pd) -> None:
     """Raise for the first point whose heralded state does not exist."""
     i = _first(pd <= 0.0)
     if i is not None:
@@ -234,10 +224,10 @@ def _require_heralded(params: CircuitParams | Sequence[CircuitParams], pd) -> No
         )
 
 
-def _heralded(params: CircuitParams | Sequence[CircuitParams]):
+def _heralded(params: CircuitParams | CircuitColumns):
     """Derived coefficients and p_d of points whose heralded state exists."""
     dc = derived_coefficients(params)
-    pd = _herald_probability(dc, _photon_count(params))
+    pd = _herald_probability(dc, params.m)
     _require_heralded(params, pd)
     return dc, pd
 
@@ -268,16 +258,16 @@ def moment(params: CircuitParams, k: int, l: int) -> complex:
     return raw / (math.factorial(m) * pd * math.sqrt(dc.eps4))
 
 
-def variances(params: CircuitParams | Sequence[CircuitParams]) -> QuadratureVariances:
+def variances(params: CircuitParams | CircuitColumns) -> QuadratureVariances:
     """Quadrature variances of the heralded state.
 
     Assembled from <a†a>, <a†> and <a†²> as
     Var(X) = <a†a> - |<a†>|² + Re(<a†²> - <a†>²) + 1/2 and Var(P) with the
-    real part subtracted instead. A sequence of points that share m gives
-    array fields, one entry per point. p_d and the moments come from one
-    Taylor box.
+    real part subtracted instead. :class:`CircuitColumns` give array
+    fields, one entry per point. p_d and the moments come from one Taylor
+    box.
     """
-    m = _photon_count(params)
+    m = params.m
     dc = derived_coefficients(params)
     box = _box(_moment_exponent(dc), (m, m, 2, 2))
     pd = _herald_probability(dc, m, box[m, m, 0, 0])
@@ -336,18 +326,19 @@ def squeezing_threshold_scan(
     the bracket is at most ``THRESHOLD_R_TOL`` wide. When no sign change
     exists the scan reports whether the state is squeezed everywhere in
     (0, r_max] ("always-squeezed") or nowhere ("never-squeezed"). An
-    ``r_max`` that leaves nothing to scan above ``THRESHOLD_R_MIN`` is a
-    ``ParameterDomainError``.
+    ``r_max`` that leaves nothing to scan above ``THRESHOLD_R_MIN``, or
+    that is not a valid r, is a ``ParameterDomainError``, raised before
+    any grid is built.
     """
     if not THRESHOLD_R_MIN < r_max < math.inf:
         raise ParameterDomainError(
             f"r_max must be finite and above THRESHOLD_R_MIN = {THRESHOLD_R_MIN}, "
             f"got {r_max}"
         )
+    check_parameter("r", r_max)
 
     def objective(rs: list) -> list:
-        points = [CircuitParams(r, eta1, eta2, T, m) for r in rs]
-        return (variances(points).var_p - VACUUM_VARIANCE).tolist()
+        return (variances(CircuitColumns(rs, eta1, eta2, T, m)).var_p - VACUUM_VARIANCE).tolist()
 
     step = THRESHOLD_SCAN_STEP
     inner = (step * i for i in range(1, math.ceil(r_max / step) + 1))
@@ -416,7 +407,7 @@ def _pnd_diagonal(dc: DerivedCoefficients, m: int, n_max: int) -> np.ndarray:
 
 
 def _pnd_values(
-    params: CircuitParams | Sequence[CircuitParams],
+    params: CircuitParams | CircuitColumns,
     dc: DerivedCoefficients,
     pd,
     n_max: int,
@@ -431,7 +422,7 @@ def _pnd_values(
             f"photon numbers above {_FACTORIAL_N_MAX} are out of range (n! overflows "
             f"a float), got n_max = {n_max}"
         )
-    m = _photon_count(params)
+    m = params.m
     norm = np.asarray(pd * np.sqrt(dc.eps4 * dc.kappa4))[..., None]
     raw = _real_part(_pnd_diagonal(dc, m, n_max), "P({})", _IMAG_TOL)
     # n! / 4^n undoes the diagonal's 4^n; both are exact in binary
@@ -456,9 +447,7 @@ def pnd(params: CircuitParams, n: int) -> float:
     return float(_pnd_values(params, dc, pd, n)[n])
 
 
-def pnd_vector(
-    params: CircuitParams | Sequence[CircuitParams], n_max: int | None = None
-) -> np.ndarray:
+def pnd_vector(params: CircuitParams | CircuitColumns, n_max: int | None = None) -> np.ndarray:
     """Photon-number distribution P(0..N).
 
     With explicit ``n_max`` (at most 170) the vector has fixed length
@@ -468,12 +457,12 @@ def pnd_vector(
     for. A vector that runs to ``PND_N_CAP`` can sum to less than
     1 - ``PND_TAIL_TOL``; callers that need the full mass check the sum.
 
-    A sequence of points that share m, with explicit ``n_max``, gives an
-    array of shape (points, n_max + 1) from one Taylor box; without
-    ``n_max`` it is a ``ValueError``.
+    :class:`CircuitColumns` with explicit ``n_max`` give an array of shape
+    (points, n_max + 1) from one Taylor box; without ``n_max`` they are a
+    ``ValueError``.
     """
     if n_max is None and not isinstance(params, CircuitParams):
-        raise ValueError("a sequence of points needs an explicit n_max")
+        raise ValueError("parameter columns need an explicit n_max")
     dc, pd = _heralded(params)
     if n_max is not None:
         return _pnd_values(params, dc, pd, n_max)
@@ -482,19 +471,17 @@ def pnd_vector(
     return values[: reached[0] + 1] if reached.size else values
 
 
-def _wigner_values(
-    params: CircuitParams | Sequence[CircuitParams], beta: np.ndarray
-) -> np.ndarray:
+def _wigner_values(params: CircuitParams | CircuitColumns, beta: np.ndarray) -> np.ndarray:
     """Wigner function of the heralded state at each entry of a 1-d ``beta``.
 
     The Taylor box over (mu, nu) of the beta-independent quadratic part is
     computed once. Only the linear couplings depend on beta (mu couples to
     g7 beta + g8 beta*, nu to g8 beta + g7 beta*); they exponentiate into
-    polynomial factors, so each point is a contraction of that box. A
-    sequence of points that share m gives one row of values per point.
+    polynomial factors, so each point is a contraction of that box.
+    :class:`CircuitColumns` give one row of values per point.
     """
     dc, pd = _heralded(params)
-    m = _photon_count(params)
+    m = params.m
     k9 = dc.kappa9
     k32_over_k9 = dc.kappa3**2 / k9
     env_mod = dc.kappa1 / k9 - 1.0 / (2.0 * k9)
@@ -576,13 +563,13 @@ def wigner(params: CircuitParams, x: float, y: float) -> WignerPoint:
 
 
 def wigner_array(
-    params: CircuitParams | Sequence[CircuitParams], xs: np.ndarray, ys: np.ndarray
+    params: CircuitParams | CircuitColumns, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """Wigner function on the grid of 1-d axes ``xs`` and ``ys``.
 
-    Entry [i, j] is the value at beta = (xs[i] + i ys[j])/sqrt(2). A
-    sequence of points that share m gives shape (points, len(xs),
-    len(ys)), entry [p, i, j] belonging to point p, from one Taylor box.
+    Entry [i, j] is the value at beta = (xs[i] + i ys[j])/sqrt(2).
+    :class:`CircuitColumns` give shape (points, len(xs), len(ys)), entry
+    [p, i, j] belonging to point p, from one Taylor box.
     """
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     beta = (gx + 1j * gy).ravel() / math.sqrt(2.0)

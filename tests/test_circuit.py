@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from mssvs import circuit
 from mssvs.circuit import (
+    CircuitColumns,
     CircuitParams,
     TwoModeGaussianCF,
     apply_beamsplitter,
@@ -76,6 +78,60 @@ class TestCircuitParams:
             CircuitParams(r=math.inf, eta1=0, eta2=0, T=0.9, m=1)
         assert math.tanh(18.0) < 1.0
         CircuitParams(r=18.0, eta1=0, eta2=0, T=0.9, m=1)
+
+
+class TestCircuitColumns:
+    GOOD = dict(r=[0.5, 0.7], eta1=[0.0, 0.1], eta2=[0.1, 0.1], T=[0.9, 1.0], m=1)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (dict(r=[0.5, math.nan]), "r must be non-negative, got nan"),
+            (dict(r=[0.5, -0.1]), "r must be non-negative, got -0.1"),
+            (dict(r=[0.5, 20.0]), "r = 20.0 is too large: tanh(r) rounds to 1"),
+            (dict(eta1=[0.0, -0.2]), "eta1 must lie in [0, 1], got -0.2"),
+            (dict(eta2=[0.1, 1.3]), "eta2 must lie in [0, 1], got 1.3"),
+            (dict(T=[2.0, 0.9]), "T must lie in [0, 1], got 2.0"),
+            (dict(T=[math.nan, 0.9]), "T must lie in [0, 1], got nan"),
+            (dict(m=-1), "m must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_rejects_a_value_out_of_domain(self, change, message):
+        # the messages are check_parameter's, as for CircuitParams
+        with pytest.raises(ParameterDomainError) as error:
+            CircuitColumns(**{**self.GOOD, **change})
+        assert str(error.value).startswith(message)
+
+    def test_checks_each_distinct_value_once(self, monkeypatch):
+        checked = []
+
+        def recording(name, value):
+            checked.append((name, value))
+            return original(name, value)
+
+        original = circuit.check_parameter
+        monkeypatch.setattr(circuit, "check_parameter", recording)
+        grid = np.indices((51, 51)).reshape(2, -1) / 50.0
+        columns = CircuitColumns(0.8, grid[0], grid[1], 0.9, 3)
+        assert len(columns) == 51 * 51
+        assert len(checked) == 1 + 51 + 51 + 1 + 1
+        assert sorted(set(checked)) == sorted(checked)
+
+    def test_rows_are_circuit_params(self):
+        columns = CircuitColumns(**self.GOOD)
+        assert columns[1] == CircuitParams(0.7, 0.1, 0.1, 1.0, 1)
+        assert [columns[i] for i in range(len(columns))] == [
+            CircuitParams(r, e1, e2, T, 1) for r, e1, e2, T in
+            zip(self.GOOD["r"], self.GOOD["eta1"], self.GOOD["eta2"], self.GOOD["T"])
+        ]
+        with pytest.raises(ValueError):
+            columns.r[0] = 0.0
+
+    def test_columns_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-d"):
+            CircuitColumns(0.5, 0.1, 0.1, 0.9, 1)
+        with pytest.raises(ValueError, match="1-d"):
+            CircuitColumns([[0.5]], 0.1, 0.1, 0.9, 1)
 
 
 class TestStage1:

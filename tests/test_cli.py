@@ -1,5 +1,6 @@
 """Command-line interface tests: output schemas, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,48 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def per_row_reference(spec):
+    """The CSV data lines of a sweep, computed row by row from CircuitParams.
+
+    Rows run over the axes in lexicographic order; every number is written
+    with ``repr``, and the cells of an unheralded row stay empty.
+    """
+    names = [name for name, _ in spec.axes]
+    rows = []
+    for combo in itertools.product(*(values for _, values in spec.axes)):
+        v = {**spec.fixed, **dict(zip(names, combo))}
+        params = CircuitParams(v["r"], v["eta1"], v["eta2"], v["T"], int(v["m"]))
+        rows.append((combo, params, observables.success_probability(params)))
+    heralded_keys = {(p.m, p.T, p.eta1, p.eta2) for _, p, pd in rows if pd > 0.0}
+    axis = np.linspace(-spec.wigner_range, spec.wigner_range, spec.wigner_points)
+    lines = []
+    for combo, params, pd in rows:
+        cells = [repr(v) for v in combo]
+        for name in spec.observables:
+            if name == "prob":
+                cells.append(repr(pd))
+            elif name == "threshold":
+                key = (params.m, params.T, params.eta1, params.eta2)
+                if key in heralded_keys:
+                    scan = observables.squeezing_threshold_scan(*key)
+                    cells += ["" if scan.r_c is None else repr(scan.r_c), scan.status]
+                else:
+                    cells += ["", ""]
+            elif pd == 0.0:
+                cells += [""] * (spec.pnd_max + 1 if name == "pnd" else 2)
+            elif name == "variances":
+                var = observables.variances(params)
+                cells += [repr(float(var.var_x)), repr(float(var.var_p))]
+            elif name == "pnd":
+                cells += [repr(v) for v in observables.pnd_vector(params, spec.pnd_max).tolist()]
+            else:
+                origin = observables.wigner_array(params, [0.0], [0.0])[0, 0]
+                w_min = observables.wigner_array(params, axis, axis).min()
+                cells += [repr(float(origin)), repr(float(w_min))]
+        lines.append(",".join(cells))
+    return lines
 
 
 class TestPoint:
@@ -61,6 +104,15 @@ class TestPoint:
         )
         assert code == 2
         assert "T" in err
+
+    def test_capacity_error_exits_3(self, capsys):
+        # m = 33 needs a herald box of total order 66, above the cap 64
+        code, out, err = run_cli(
+            capsys, "point", "--r", "1", "--T", "0.9", "--m", "33", "--no-timestamp",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: total derivative order 66 exceeds the cap 64"]
 
     def test_saturated_squeezing_is_a_domain_error(self, capsys):
         code, out, err = run_cli(
@@ -451,7 +503,7 @@ class TestSweep:
             capsys, "sweep", self.prob_spec(tmp_path), "-o", out_path, "--no-timestamp"
         )
         assert code == 0
-        assert [[p.m for p in batch] for batch in calls] == [[1] * 5, [2] * 5]
+        assert [(batch.m, len(batch)) for batch in calls] == [(1, 5), (2, 5)]
         rows = [
             line.split(",") for line in open(out_path).read().splitlines()
             if line and not line.startswith(("#", "eta1,"))
@@ -473,6 +525,70 @@ class TestSweep:
         )
         assert code == 3
         assert "cap" in err
+
+    def test_capacity_error_exits_3(self, tmp_path, capsys):
+        spec = self.write_spec(
+            tmp_path,
+            "axis.r = 0.5,1\nfixed.eta1 = 0.1\nfixed.eta2 = 0.1\nfixed.T = 0.9\n"
+            "fixed.m = 33\nobservables = prob\n",
+        )
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", spec, "-o", str(out_path), "--no-timestamp")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: total derivative order 66 exceeds the cap 64"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", self.prob_spec(tmp_path), "-o", str(out_path), "--jobs", jobs,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --jobs must be at least 1, got {jobs}"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,spec_name,size",
+        [
+            ("100000", 4, "UNHERALDED_SPEC", 4),  # 3 chunks + 4 threshold keys
+            ("3", 4, "UNHERALDED_SPEC", 3),
+            ("100000", 64, "EIGHT_ROW_SPEC", 2),  # 2 chunks, one per m
+            ("100000", None, "UNHERALDED_SPEC", None),  # cpu_count unknown: serial
+            ("100000", 4, "ONE_TASK_SPEC", None),
+        ],
+    )
+    def test_pool_size_is_bounded_by_cpus_and_tasks(
+        self, tmp_path, capsys, monkeypatch, jobs, cpus, spec_name, size
+    ):
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool size it is asked for and runs tasks in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        spec = self.write_spec(tmp_path, getattr(self, spec_name))
+        serial, pooled = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
+        assert run_cli(capsys, "sweep", spec, "-o", serial, "--no-timestamp")[0] == 0
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, _, _ = run_cli(capsys, "sweep", spec, "-o", pooled, "--jobs", jobs, "--no-timestamp")
+        assert code == 0
+        assert sizes == ([] if size is None else [size])
+        assert open(serial, "rb").read() == open(pooled, "rb").read()
 
     def test_loss_map_edges(self, tmp_path, capsys):
         # success probability over the loss plane: 51 x 51 rows, zero on
@@ -554,6 +670,29 @@ class TestSweep:
         "fixed.T = 0.9\nobservables = prob,variances,pnd,wigner,threshold\n"
         "pnd.max = 5\nwigner.points = 7\nwigner.range = 2.5\n"
     )
+
+    EIGHT_ROW_SPEC = (
+        "axis.r = 0.2,0.4,0.6,0.8\naxis.m = 1,2\nfixed.eta1 = 0.1\nfixed.eta2 = 0.1\n"
+        "fixed.T = 0.9\nobservables = prob,variances\n"
+    )
+    ONE_TASK_SPEC = (
+        "axis.r = 0.2,0.4,0.6\nfixed.m = 1\nfixed.eta1 = 0.1\nfixed.eta2 = 0.1\n"
+        "fixed.T = 0.9\nobservables = prob,pnd\n"
+    )
+    PROB_MAP_SPEC = (
+        "axis.eta1 = 0:1:21\naxis.eta2 = 0:1:21\nfixed.r = 0.8\nfixed.T = 0.9\n"
+        "fixed.m = 2\nobservables = prob\n"
+    )
+
+    @pytest.mark.parametrize("spec_name", ["PROB_MAP_SPEC", "UNHERALDED_SPEC"])
+    def test_csv_equals_the_per_row_reference(self, tmp_path, capsys, spec_name):
+        text = getattr(self, spec_name)
+        out_path = str(tmp_path / "out.csv")
+        code, _, _ = run_cli(capsys, "sweep", self.write_spec(tmp_path, text), "-o", out_path,
+                             "--no-timestamp")
+        assert code == 0
+        lines = [line for line in open(out_path).read().splitlines() if not line.startswith("#")]
+        assert lines[1:] == per_row_reference(parse_sweep_spec(text))
 
     @staticmethod
     def read_rows(path):

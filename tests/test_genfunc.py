@@ -12,6 +12,7 @@ from mssvs.errors import CapacityError
 from mssvs.genfunc import DEFAULT_MAX_TOTAL_ORDER, QuadraticExponent, taylor_coefficient_box
 from mssvs.observables import svs_moment
 
+from conftest import columns_of
 from symbolic_oracle import symbolic_derivative
 
 
@@ -201,12 +202,12 @@ class TestBatchedBox:
 
     @pytest.mark.parametrize("m", range(9))
     def test_herald_boxes(self, m):
-        dc = derived_coefficients(circuit_points(m))
+        dc = derived_coefficients(columns_of(circuit_points(m)))
         self.assert_matches_reference(obs._herald_exponent(dc), (m, m))
 
     @pytest.mark.parametrize("m", range(9))
     def test_moment_boxes(self, m):
-        dc = derived_coefficients(circuit_points(m, count=10))
+        dc = derived_coefficients(columns_of(circuit_points(m, count=10)))
         self.assert_matches_reference(obs._moment_exponent(dc), (m, m, 2, 2))
 
     def test_zero_coefficients_at_some_points(self):

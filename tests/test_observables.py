@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from mssvs.circuit import CircuitParams, derived_coefficients
+from mssvs.circuit import CircuitColumns, CircuitParams, derived_coefficients
 from mssvs.errors import NumericalConsistencyError, ParameterDomainError, UndefinedStateError
 from mssvs.genfunc import QuadraticExponent
 from mssvs import observables as obs
 
+from conftest import columns_of
 from test_genfunc import circuit_points
 
 
@@ -260,8 +261,8 @@ class TestSqueezingThreshold:
         batches = []
 
         def recording(params):
-            if not isinstance(params, CircuitParams):
-                batches.append([p.r for p in params])
+            if isinstance(params, CircuitColumns):
+                batches.append(params.r.tolist())
             return original(params)
 
         monkeypatch.setattr(obs, "variances", recording)
@@ -303,6 +304,13 @@ class TestSqueezingThreshold:
         # nothing above THRESHOLD_R_MIN is searched, so no status can be reported
         with pytest.raises(ParameterDomainError, match="r_max"):
             obs.squeezing_threshold_scan(1, 0.9, 0.0, 0.0, r_max=r_max)
+
+    def test_r_max_past_the_r_domain_is_refused_before_any_grid(self, monkeypatch):
+        # tanh(1e5) rounds to 1; the refusal must not wait for a grid of
+        # r_max / THRESHOLD_SCAN_STEP points to reach the domain limit
+        monkeypatch.setattr(obs, "variances", lambda params: pytest.fail("variances called"))
+        with pytest.raises(ParameterDomainError, match=r"^r = 100000\.0 is too large"):
+            obs.squeezing_threshold_scan(1, 0.9, 0.0, 0.0, r_max=1e5)
 
 
 class TestPhotonNumberDistribution:
@@ -363,19 +371,20 @@ class TestPhotonNumberDistribution:
     @pytest.mark.parametrize("m", range(11))
     def test_matches_the_four_variable_box(self, m):
         points = heralded(pnd_points(m))
-        dc = derived_coefficients(points)
-        pd = obs.success_probability(points)
+        columns = columns_of(points)
+        dc = derived_coefficients(columns)
+        pd = obs.success_probability(columns)
         reference = four_variable_pnd(dc, pd, m, 64)
         for n_max in (0, 1, 3, 10, 64):
-            for row, want in zip(obs.pnd_vector(points, n_max), reference):
+            for row, want in zip(obs.pnd_vector(columns, n_max), reference):
                 for got, value in zip(row, want):
                     assert_same_number(got, value)
         # n_max = 170 at r = 2.5, where P(170) is not negligible; the
         # reference box holds (m + 1)^2 171^2 cells
-        points = points[-1:]
-        dc = derived_coefficients(points)
-        reference = four_variable_pnd(dc, obs.success_probability(points), m, 170)
-        for row, want in zip(obs.pnd_vector(points, 170), reference):
+        columns = columns_of(points[-1:])
+        dc = derived_coefficients(columns)
+        reference = four_variable_pnd(dc, obs.success_probability(columns), m, 170)
+        for row, want in zip(obs.pnd_vector(columns, 170), reference):
             for got, value in zip(row, want):
                 assert_same_number(got, value)
 
@@ -383,7 +392,7 @@ class TestPhotonNumberDistribution:
     def test_rows_equal_per_point_calls_and_shorter_vectors(self, m):
         # an entry depends neither on its batch nor on the length asked for
         points = heralded(pnd_points(m))
-        batch = obs.pnd_vector(points, obs.PND_N_CAP)
+        batch = obs.pnd_vector(columns_of(points), obs.PND_N_CAP)
         for point, row in zip(points, batch):
             assert obs.pnd_vector(point, obs.PND_N_CAP).tolist() == row.tolist()
             for n_max in (0, 3, 2 * m + 1, 16, 33):
@@ -465,7 +474,7 @@ class TestWigner:
         # |beta| = 1e200 overflows the power columns and the envelope
         first = CircuitParams(1.0, 0.1, 0.1, 0.9, 3)
         second = CircuitParams(0.7, 0.2, 0.1, 0.9, 3)
-        for params in (first, [first, second]):
+        for params in (first, columns_of([first, second])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NumericalConsistencyError, match="not finite") as error:
@@ -486,7 +495,7 @@ class TestBatchedPoints:
     @pytest.mark.parametrize("m", range(9))
     def test_success_probability_matches_per_point(self, m):
         points = circuit_points(m)
-        batch = obs.success_probability(points)
+        batch = obs.success_probability(columns_of(points))
         assert isinstance(batch, np.ndarray) and batch.shape == (len(points),)
         for point, value in zip(points, batch):
             assert_same_number(value, obs.success_probability(point))
@@ -494,7 +503,7 @@ class TestBatchedPoints:
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_variances_match_per_point(self, m):
         points = [p for p in circuit_points(m, count=12) if obs.success_probability(p) > 0]
-        batch = obs.variances(points)
+        batch = obs.variances(columns_of(points))
         for i, point in enumerate(points):
             single = obs.variances(point)
             assert_same_number(batch.var_x[i], single.var_x)
@@ -503,7 +512,7 @@ class TestBatchedPoints:
     @pytest.mark.parametrize("m", range(9))
     def test_pnd_vector_matches_per_point(self, m):
         points = [p for p in circuit_points(m, count=12) if obs.success_probability(p) > 0]
-        batch = obs.pnd_vector(points, 6)
+        batch = obs.pnd_vector(columns_of(points), 6)
         assert batch.shape == (len(points), 7)
         for point, row in zip(points, batch):
             for got, want in zip(row, obs.pnd_vector(point, 6)):
@@ -513,25 +522,22 @@ class TestBatchedPoints:
     def test_wigner_array_matches_per_point(self, m):
         points = [p for p in circuit_points(m, count=12) if obs.success_probability(p) > 0]
         xs, ys = np.array([-1.5, 0.0, 0.4]), np.array([0.2, -2.0])
-        batch = obs.wigner_array(points, xs, ys)
+        batch = obs.wigner_array(columns_of(points), xs, ys)
         assert batch.shape == (len(points), 3, 2)
         for point, grid in zip(points, batch):
             for got, want in zip(grid.ravel(), obs.wigner_array(point, xs, ys).ravel()):
                 assert_same_number(got, want)
 
-    @pytest.mark.parametrize(
-        "call",
-        [lambda ps: obs.pnd_vector(ps, 4), lambda ps: obs.wigner_array(ps, [0.0], [0.0])],
-        ids=["pnd_vector", "wigner_array"],
-    )
-    def test_mixed_m_is_rejected_by_every_batched_form(self, call):
+    def test_helper_rejects_mixed_m(self):
+        # columns carry one m by construction; the test helper that builds
+        # them from points refuses points that do not share it
         points = [CircuitParams(0.7, 0.1, 0.1, 0.9, 1), CircuitParams(0.7, 0.1, 0.1, 0.9, 2)]
         with pytest.raises(ValueError, match="share one m"):
-            call(points)
+            columns_of(points)
 
-    def test_sequence_needs_explicit_n_max(self):
+    def test_columns_need_explicit_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
-            obs.pnd_vector([CircuitParams(0.7, 0.1, 0.1, 0.9, 1)])
+            obs.pnd_vector(columns_of([CircuitParams(0.7, 0.1, 0.1, 0.9, 1)]))
 
     def test_negative_probability_in_a_batch(self):
         bad = CircuitParams(5.0, 0.0, 0.0, 0.9, 1)  # P(0) = -3.9e-10 in double precision
@@ -539,7 +545,7 @@ class TestBatchedPoints:
             obs.pnd_vector(bad, 10)
         good = CircuitParams(0.7, 0.1, 0.1, 0.9, 1)
         with pytest.raises(NumericalConsistencyError) as batch:
-            obs.pnd_vector([good, bad, good], 10)
+            obs.pnd_vector(columns_of([good, bad, good]), 10)
         assert str(batch.value) == str(scalar.value)
 
     @pytest.mark.parametrize(
@@ -553,19 +559,14 @@ class TestBatchedPoints:
             call(bad)
         good = CircuitParams(0.7, 0.1, 0.1, 0.9, 1)
         with pytest.raises(ParameterDomainError) as batch:
-            call([good, bad])
+            call(columns_of([good, bad]))
         assert str(batch.value) == str(scalar.value)
         undefined = CircuitParams(0.7, 0.1, 1.0, 0.9, 1)
         with pytest.raises(UndefinedStateError, match="eta2=1.0"):
-            call([good, undefined])
+            call(columns_of([good, undefined]))
 
     def test_point_gives_a_float(self):
         assert type(obs.success_probability(CircuitParams(0.7, 0.1, 0.1, 0.9, 2))) is float
-
-    def test_mixed_m_is_rejected(self):
-        points = [CircuitParams(0.7, 0.1, 0.1, 0.9, 1), CircuitParams(0.7, 0.1, 0.1, 0.9, 2)]
-        with pytest.raises(ValueError, match="share one m"):
-            obs.success_probability(points)
 
     def test_failing_discriminant_in_a_batch(self):
         bad = CircuitParams(9.5, 0.0, 0.0, 0.5, 1)  # kappa9 < 0 in double precision
@@ -573,32 +574,34 @@ class TestBatchedPoints:
             obs.success_probability(bad)
         good = CircuitParams(0.7, 0.1, 0.1, 0.9, 1)
         with pytest.raises(ParameterDomainError) as batch:
-            obs.success_probability([good, bad, good])
+            obs.success_probability(columns_of([good, bad, good]))
         assert str(batch.value) == str(scalar.value)
 
     def test_undefined_state_in_a_batch(self):
         points = [CircuitParams(0.7, 0.1, 0.1, 0.9, 1), CircuitParams(0.7, 1.0, 0.1, 0.9, 1)]
         with pytest.raises(UndefinedStateError, match="eta1=1.0"):
-            obs.variances(points)
+            obs.variances(columns_of(points))
 
-    def test_empty_sequence(self):
-        assert obs.success_probability([]).shape == (0,)
+    def test_empty_columns(self):
+        assert obs.success_probability(CircuitColumns([], [], [], [], 1)).shape == (0,)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda p: obs.success_probability(p),
-        lambda p: obs.success_probability([p, p, p]),
+        lambda p: obs.success_probability(columns_of([p, p, p])),
         lambda p: obs.variances(p),
-        lambda p: obs.variances([p, p]),
+        lambda p: obs.variances(columns_of([p, p])),
         lambda p: obs.moment(p, 1, 2),
         lambda p: obs.pnd_vector(p, 10),
-        lambda p: obs.pnd_vector([p, p], 10),
+        lambda p: obs.pnd_vector(columns_of([p, p]), 10),
         lambda p: obs.wigner(p, 0.3, -0.2),
         lambda p: obs.wigner_grid(p, (-1, 1), (-1, 1), 3),
         lambda p: obs.wigner_array(p, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3)),
-        lambda p: obs.wigner_array([p, p], np.linspace(-1, 1, 3), np.linspace(-1, 1, 3)),
+        lambda p: obs.wigner_array(
+            columns_of([p, p]), np.linspace(-1, 1, 3), np.linspace(-1, 1, 3)
+        ),
     ],
     ids=["success_probability", "success_probability_batch", "variances", "variances_batch",
          "moment", "pnd_vector", "pnd_vector_batch", "wigner", "wigner_grid", "wigner_array",

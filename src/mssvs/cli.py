@@ -44,6 +44,11 @@ DEFAULT_SWEEP_CAP = 1_000_000
 # holds a 51 x 51 p_d map in one call up to m = 19.
 _PD_BATCH_CELLS = 1 << 20
 
+# Complex (rows x beta) arrays the Wigner kernel holds at once, whatever
+# m is: b_mu, b_nu, b_nu^2 and the two Horner accumulators, plus one for
+# the grid and beta vectors a chunk shares.
+_WIGNER_ARRAYS = 6
+
 # Least value of each integer sweep option: a photon-number cutoff and a
 # grid side length.
 _INTEGER_OPTIONS = {"pnd.max": 0, "wigner.points": 1}
@@ -270,8 +275,9 @@ _BATCHED = ("variances", "pnd", "wigner")
 
 
 def _cells_per_row(spec: SweepSpec, m: int) -> int:
-    """Cells one row adds to a batched call: its Taylor-box cells, or grid
-    points x (m + 1) for the Wigner powers, whichever is largest."""
+    """Cells one row adds to a batched call: its Taylor-box cells, or the
+    Wigner kernel's arrays over the grid and the origin, whichever is
+    largest."""
     box = (m + 1) ** 2
     cells = box
     if "variances" in spec.observables:
@@ -280,7 +286,7 @@ def _cells_per_row(spec: SweepSpec, m: int) -> int:
         k = min(2 * m, spec.pnd_max)
         cells = max(cells, box * (k + 1) ** 2 + (spec.pnd_max + 1) ** 2)
     if "wigner" in spec.observables:
-        cells = max(cells, spec.wigner_points**2 * (m + 1))
+        cells = max(cells, _WIGNER_ARRAYS * (spec.wigner_points**2 + 1))
     return cells
 
 
@@ -306,10 +312,12 @@ def _evaluate_chunk(task) -> dict[str, list[str]]:
     if "pnd" in spec.observables:
         cells["pnd"] = _float_cells(observables.pnd_vector(columns, spec.pnd_max).T)
     if "wigner" in spec.observables:
+        # One call over the grid and then the origin: w_min is the minimum of
+        # what wigner_array gives on the grid, w_origin what wigner gives at 0.
         axis = np.linspace(-spec.wigner_range, spec.wigner_range, spec.wigner_points)
-        origin = observables.wigner_array(columns, [0.0], [0.0]).ravel()
-        w_min = observables.wigner_array(columns, axis, axis).min(axis=(1, 2))
-        cells["wigner"] = _float_cells([origin, w_min])
+        beta = np.append(observables._grid_beta(axis, axis), 0.0)
+        w = observables._wigner_values(columns, beta)
+        cells["wigner"] = _float_cells([w[:, -1], w[:, :-1].min(axis=1)])
     return cells
 
 

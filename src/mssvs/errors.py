@@ -18,6 +18,10 @@ class CapacityError(MssvsError):
         self.requested = requested
         self.cap = cap
 
+    def __reduce__(self):
+        # rebuilt from its attributes, so it crosses a process boundary
+        return type(self), (self.requested, self.cap)
+
 
 class ParameterDomainError(MssvsError, ValueError):
     """A physical parameter lies outside its admissible domain."""
@@ -50,3 +54,6 @@ class CutoffTooSmallError(MssvsError):
         self.cutoff = cutoff
         self.tail = tail
         self.required_cutoff = required_cutoff
+
+    def __reduce__(self):
+        return type(self), (self.cutoff, self.tail, self.required_cutoff)

@@ -471,14 +471,56 @@ def pnd_vector(params: CircuitParams | CircuitColumns, n_max: int | None = None)
     return values[: reached[0] + 1] if reached.size else values
 
 
+def _wigner_contraction(box: np.ndarray, b_mu: np.ndarray, b_nu: np.ndarray) -> np.ndarray:
+    """Sum of box[i, j] b_mu^(m-i)/(m-i)! b_nu^(m-j)/(m-j)! at each point and beta.
+
+    ``box`` is the (m + 1, m + 1) Taylor box, a batch axis trailing;
+    ``b_mu`` and ``b_nu`` carry the batch shape and then the beta axis.
+    The box's exponent has no linear part, so only its entries of even
+    i + j are nonzero: row i is b_nu^((m - i) mod 2) times a polynomial in
+    b_nu^2, evaluated by Horner, and the rows are summed by Horner in
+    b_mu. Each step is one elementwise pass over the whole
+    (points x beta) array in a fixed order, so a value does not depend on
+    the batch or the beta vector it is computed in. Beside its inputs the
+    pass holds three such arrays.
+    """
+    m = box.shape[0] - 1
+    scale = np.array([
+        [float(math.factorial(m - i) * math.factorial(m - j)) for j in range(m + 1)]
+        for i in range(m + 1)
+    ])
+    coefficients = box / scale.reshape(scale.shape + (1,) * (box.ndim - 2))
+    u = b_nu * b_nu
+    total = None
+    row = np.empty_like(u)
+    for i in range(m + 1):
+        # the columns j of i's parity, the highest power of u (smallest j) first
+        row[...] = coefficients[i, i % 2][..., None]
+        for j in range(i % 2 + 2, m + 1, 2):
+            row *= u
+            row += coefficients[i, j][..., None]
+        if (m - i) % 2:
+            row *= b_nu
+        if total is None:
+            total, row = row, np.empty_like(u)
+        else:
+            total *= b_mu
+            total += row
+    return total
+
+
 def _wigner_values(params: CircuitParams | CircuitColumns, beta: np.ndarray) -> np.ndarray:
     """Wigner function of the heralded state at each entry of a 1-d ``beta``.
 
     The Taylor box over (mu, nu) of the beta-independent quadratic part is
     computed once. Only the linear couplings depend on beta (mu couples to
     g7 beta + g8 beta*, nu to g8 beta + g7 beta*); they exponentiate into
-    polynomial factors, so each point is a contraction of that box.
-    :class:`CircuitColumns` give one row of values per point.
+    polynomial factors, so each value is that box contracted with powers
+    of the two couplings, which ``_wigner_contraction`` sums by Horner over
+    the whole (points x beta) array at once. :class:`CircuitColumns` give
+    one row of values per point. A value that is not finite, or a point
+    whose values keep an imaginary part beyond ``_IMAG_TOL``, is a
+    ``NumericalConsistencyError`` naming the point.
     """
     dc, pd = _heralded(params)
     m = params.m
@@ -512,33 +554,19 @@ def _wigner_values(params: CircuitParams | CircuitColumns, beta: np.ndarray) -> 
     # as a non-finite value, which is reported below instead of warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         b_mu = per_point(g7) * beta + per_point(g8) * beta.conjugate()
-        b_nu = per_point(g8) * beta + per_point(g7) * beta.conjugate()
-        # column i holds b^(m-i) / (m-i)! to pair with series order i; the
-        # orders 0 and 1 are written as 1 and b, which is what b**d / d! gives
-        powers_mu = np.ones(b_mu.shape + (m + 1,), dtype=complex)
-        powers_nu = np.ones(b_nu.shape + (m + 1,), dtype=complex)
-        if m:
-            powers_mu[..., m - 1] = b_mu
-            powers_nu[..., m - 1] = b_nu
-        for d in range(2, m + 1):
-            powers_mu[..., m - d] = b_mu**d / math.factorial(d)
-            powers_nu[..., m - d] = b_nu**d / math.factorial(d)
-        # One contraction per point, laid out as a lone point's, so a value
-        # does not depend on the batch it is computed in.
-        boxes = np.ascontiguousarray(np.moveaxis(quad_box.reshape(m + 1, m + 1, -1), -1, 0))
-        rows = (-1, beta.size, m + 1)
-        raw = np.array([
-            np.einsum("ij,pi,pj->p", box, mu, nu)
-            for box, mu, nu in zip(boxes, powers_mu.reshape(rows), powers_nu.reshape(rows))
-        ]).reshape(batch + beta.shape)
-        raw *= math.factorial(m) ** 2
-
+        # g7 and g8 are real, so g8 beta + g7 beta* is b_mu's conjugate
+        b_nu = b_mu.conjugate()
+        values = _wigner_contraction(quad_box, b_mu, b_nu)
+        del b_mu, b_nu
+        # The envelope and the normalization m!^2 / (pi m! p_d sqrt(eps4 kappa9))
+        # are real, so they scale the real and imaginary parts in place.
         envelope = np.exp(
             -per_point(env_mod) * np.abs(beta) ** 2
             + per_point(env_quad) * (beta**2 + np.conj(beta) ** 2).real
         )
-        norm = math.pi * math.factorial(m) * pd * np.sqrt(dc.eps4 * dc.kappa9)
-        values = raw * envelope / per_point(norm)
+        envelope *= per_point(math.factorial(m) / (math.pi * pd * np.sqrt(dc.eps4 * dc.kappa9)))
+        values.real *= envelope
+        values.imag *= envelope
     i = _first(~np.isfinite(values))
     if i is not None:
         point, j = divmod(i, beta.size)
@@ -556,6 +584,13 @@ def _wigner_values(params: CircuitParams | CircuitColumns, beta: np.ndarray) -> 
     return values.real
 
 
+def _grid_beta(xs, ys) -> np.ndarray:
+    """beta = (x + iy)/sqrt(2) over the grid of 1-d axes ``xs`` and ``ys``,
+    flattened with the ``ys`` index fastest."""
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return (gx + 1j * gy).ravel() / math.sqrt(2.0)
+
+
 def wigner(params: CircuitParams, x: float, y: float) -> WignerPoint:
     """Wigner function of the heralded state at beta = (x + iy)/sqrt(2)."""
     beta = np.array([complex(x, y) / math.sqrt(2.0)])
@@ -571,10 +606,8 @@ def wigner_array(
     :class:`CircuitColumns` give shape (points, len(xs), len(ys)), entry
     [p, i, j] belonging to point p, from one Taylor box.
     """
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    beta = (gx + 1j * gy).ravel() / math.sqrt(2.0)
-    values = _wigner_values(params, beta)
-    return values.reshape(values.shape[:-1] + gx.shape)
+    values = _wigner_values(params, _grid_beta(xs, ys))
+    return values.reshape(values.shape[:-1] + (len(xs), len(ys)))
 
 
 def wigner_grid(

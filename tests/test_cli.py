@@ -5,13 +5,14 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from mssvs import cli, observables
-from mssvs.circuit import CircuitParams
+from mssvs.circuit import CircuitColumns, CircuitParams
 from mssvs.cli import main, parse_sweep_spec, ResultTable, SweepSpecError
 
 
@@ -824,6 +825,62 @@ class TestSweep:
         assert rows[0][2] == "threshold"
         assert rows[1][1] == ""
         assert rows[1][2] == "always-squeezed"
+
+    # m = 8 on a 101-point window, split into chunks of 17 rows
+    HIGH_M_SPEC = (
+        "axis.r = 0.2:1.4:20\naxis.eta2 = 0.05,0.2\nfixed.m = 8\nfixed.eta1 = 0.1\n"
+        "fixed.T = 0.9\nobservables = wigner\nwigner.points = 101\n"
+    )
+
+    @pytest.mark.parametrize("spec_name", ["UNHERALDED_SPEC", "HIGH_M_SPEC"])
+    def test_wigner_cells_are_the_library_values(self, tmp_path, capsys, monkeypatch, spec_name):
+        text = getattr(self, spec_name)
+        spec = parse_sweep_spec(text)
+        original = observables._wigner_values
+        calls = []
+
+        def counting(params, beta):
+            calls.append(len(params))
+            return original(params, beta)
+
+        monkeypatch.setattr(observables, "_wigner_values", counting)
+        out_path = str(tmp_path / "out.csv")
+        assert run_cli(capsys, "sweep", self.write_spec(tmp_path, text), "-o", out_path,
+                       "--no-timestamp")[0] == 0
+        monkeypatch.setattr(observables, "_wigner_values", original)
+        rows = self.read_rows(out_path)
+        # one kernel call per chunk of heralded rows of one m
+        heralded = [row for row in rows if row["w_origin"]]
+        ms = [int(float(row.get("m", spec.fixed.get("m")))) for row in heralded]
+        assert calls == [
+            len(chunk)
+            for m in dict.fromkeys(ms)
+            for chunk in cli._chunks(np.arange(ms.count(m)), cli._cells_per_row(spec, m))
+        ]
+        assert len(calls) == 3
+        axis = np.linspace(-spec.wigner_range, spec.wigner_range, spec.wigner_points)
+        for row in heralded:
+            values = {**spec.fixed, **{name: float(row[name]) for name, _ in spec.axes}}
+            params = CircuitParams(values["r"], values["eta1"], values["eta2"], values["T"],
+                                   int(values["m"]))
+            assert float(row["w_origin"]) == observables.wigner(params, 0.0, 0.0).w
+            assert float(row["w_min"]) == observables.wigner_array(params, axis, axis).min()
+
+    def test_wigner_chunk_stays_within_the_cell_budget(self):
+        spec = parse_sweep_spec(
+            "axis.r = 0.2:1.2:40\nfixed.m = 8\nfixed.eta1 = 0.1\nfixed.eta2 = 0.1\n"
+            "fixed.T = 0.9\nobservables = wigner\nwigner.points = 201\n"
+        )
+        chunk = cli._chunks(np.arange(40), cli._cells_per_row(spec, 8))[0]
+        assert len(chunk) > 1
+        columns = CircuitColumns(np.linspace(0.2, 1.2, 40)[chunk], 0.1, 0.1, 0.9, 8)
+        tracemalloc.start()
+        try:
+            cli._evaluate_chunk((columns, spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._PD_BATCH_CELLS * np.dtype(complex).itemsize
 
 
 class TestEntryPoint:

@@ -63,6 +63,26 @@ def four_variable_pnd(dc, pd, m, n_max):
     return np.where(values > 1.0, 1.0, np.where(values < 0.0, 0.0, values))
 
 
+def power_table_contraction(box, b_mu, b_nu):
+    """The Wigner contraction as tables of b^(m-i)/(m-i)! and one ``einsum``
+    per point: the reference for the Horner pass of ``_wigner_contraction``."""
+    m = box.shape[0] - 1
+    powers_mu = np.ones(b_mu.shape + (m + 1,), dtype=complex)
+    powers_nu = np.ones(b_nu.shape + (m + 1,), dtype=complex)
+    if m:
+        powers_mu[..., m - 1] = b_mu
+        powers_nu[..., m - 1] = b_nu
+    for d in range(2, m + 1):
+        powers_mu[..., m - d] = b_mu**d / math.factorial(d)
+        powers_nu[..., m - d] = b_nu**d / math.factorial(d)
+    boxes = np.moveaxis(box.reshape(m + 1, m + 1, -1), -1, 0)
+    rows = (-1, b_mu.shape[-1], m + 1)
+    return np.array([
+        np.einsum("ij,pi,pj->p", point_box, mu, nu)
+        for point_box, mu, nu in zip(boxes, powers_mu.reshape(rows), powers_nu.reshape(rows))
+    ]).reshape(b_mu.shape)
+
+
 def doubling_length(params):
     """Length of the adaptive vector as grown 16 -> 32 -> 64 until the tail
     target is met, the way adaptive ``pnd_vector`` used to evaluate it."""
@@ -480,6 +500,49 @@ class TestWigner:
                 with pytest.raises(NumericalConsistencyError, match="not finite") as error:
                     obs.wigner_array(params, [0.0, 1e200], [0.0])
             assert str(error.value).endswith(str(first))
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_horner_pass_matches_the_power_tables(self, m, monkeypatch):
+        """Within relative 1e-12 (absolute 1e-15 below 1e-3) of the power
+        tables, or, where the sum cancels that far, within the rounding of
+        the two routes: (4m + 4) eps times the sum of the terms' moduli."""
+        points = heralded(circuit_points(m, count=6))
+        axis = np.linspace(-3, 3, 41)
+
+        def moduli(box, b_mu, b_nu):
+            return power_table_contraction(abs(box), abs(b_mu), abs(b_nu)) + 0j
+
+        bound = 4 * (m + 1) * np.finfo(float).eps
+        for params in (points[0], columns_of(points)):
+            got = obs.wigner_array(params, axis, axis)
+            with monkeypatch.context() as patch:
+                patch.setattr(obs, "_wigner_contraction", power_table_contraction)
+                want = obs.wigner_array(params, axis, axis)
+                patch.setattr(obs, "_wigner_contraction", moduli)
+                scale = obs.wigner_array(params, axis, axis)
+            for g, w, s in zip(got.ravel(), want.ravel(), scale.ravel()):
+                if abs(g - w) > bound * s:
+                    assert_same_number(g, w)
+
+    def test_box_has_only_even_orders(self, monkeypatch):
+        # the Horner pass skips the entries of odd i + j
+        boxes = []
+        original = obs._wigner_contraction
+
+        def capture(box, b_mu, b_nu):
+            boxes.append(box)
+            return original(box, b_mu, b_nu)
+
+        monkeypatch.setattr(obs, "_wigner_contraction", capture)
+        for m in (3, 8):
+            obs.wigner_array(columns_of(heralded(circuit_points(m, count=6))), [0.3], [0.1])
+            i, j = np.indices((m + 1, m + 1))
+            assert np.all(boxes[-1][(i + j) % 2 == 1] == 0)
+
+    def test_no_einsum(self, monkeypatch):
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: pytest.fail("einsum called"))
+        w = obs.wigner_array(CircuitParams(0.7, 0.1, 0.1, 0.9, 8), [0.0, 1.0], [0.5])
+        assert w.shape == (2, 1)
 
     def test_origin_matches_oracle(self):
         from mssvs import fock_oracle as fo

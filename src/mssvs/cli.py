@@ -40,8 +40,8 @@ EXIT_CAP = 3
 
 DEFAULT_SWEEP_CAP = 1_000_000
 
-# Cells (complex entries) of one batched call in a sweep: 16 MiB, which
-# holds a 51 x 51 p_d map in one call up to m = 19.
+# Cells of one batched call in a sweep: float64 Taylor-box entries (8 MiB, a
+# 51 x 51 p_d map up to m = 19) or the Wigner kernel's complex ones (16 MiB).
 _PD_BATCH_CELLS = 1 << 20
 
 # Complex (rows x beta) arrays the Wigner kernel holds at once, whatever

@@ -109,23 +109,6 @@ class WignerPoint:
     w: float
 
 
-def _real_part(value, what: str, tol: float):
-    """Real part of a complex value or array, checked entry by entry.
-
-    The error names ``what.format(k)`` for the last axis index k of the
-    first failing entry, so a batch of vectors names the entry's place in
-    its own vector.
-    """
-    i = _first(abs(value.imag) > tol * np.maximum(1.0, abs(value)))
-    if i is not None:
-        where = np.unravel_index(i, np.shape(value))[-1:]
-        raise NumericalConsistencyError(
-            f"{what.format(*where)} has imaginary residue {np.ravel(value.imag)[i]:.3e} "
-            f"beyond {tol:.0e}"
-        )
-    return value.real
-
-
 def _clamp_probability(value, what: str):
     """Clamp rounding noise within ``_PROB_SLACK`` of [0, 1], entry by entry."""
     i = _first((value < -_PROB_SLACK) | (value > 1.0 + _PROB_SLACK))
@@ -140,20 +123,19 @@ def _herald_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
     """Generating exponent in (mu, nu) for the detection probability."""
     cross = 1.0 - dc.eps1 / dc.eps4
     diag = 2.0 * dc.eps2 / dc.eps4
-    return QuadraticExponent([[diag, cross], [cross, diag]], np.zeros((2,) + np.shape(cross)))
+    return QuadraticExponent([[diag, cross], [cross, diag]])
 
 
 def _moment_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
     """Generating exponent in (mu, nu, f, g) for normally-ordered moments."""
-    batch = np.shape(dc.eps4)
-    a = np.zeros((4, 4) + batch)
+    a = np.zeros((4, 4) + np.shape(dc.eps4))
     a[0, 1] = a[1, 0] = 1.0 - dc.eps1 / dc.eps4
     a[0, 0] = a[1, 1] = 2.0 * dc.eps2 / dc.eps4
     a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = dc.eps3 * dc.eps7 / dc.eps4
     a[1, 2] = a[2, 1] = a[0, 3] = a[3, 0] = dc.eps3 * dc.eps8 / dc.eps4
     a[2, 3] = a[3, 2] = dc.lam**2 * dc.tau1 + dc.eps5 / dc.eps4
     a[2, 2] = a[3, 3] = dc.lam * dc.tau1 + 2.0 * dc.eps6 / dc.eps4
-    return QuadraticExponent(a, np.zeros((4,) + batch))
+    return QuadraticExponent(a)
 
 
 def _pnd_exponents(dc: DerivedCoefficients) -> tuple[QuadraticExponent, QuadraticExponent]:
@@ -166,9 +148,8 @@ def _pnd_exponents(dc: DerivedCoefficients) -> tuple[QuadraticExponent, Quadrati
     exact power of two, which keeps the coefficients up to n = 170 above
     the subnormal range, where they would lose digits.
     """
-    batch = np.shape(dc.eps4)
     k32_over_k4 = dc.kappa3**2 / dc.kappa4
-    a = np.zeros((4, 4) + batch)
+    a = np.zeros((4, 4) + np.shape(dc.eps4))
     a[0, 1] = a[1, 0] = (
         1.0
         - dc.eps1 / dc.eps4
@@ -183,8 +164,8 @@ def _pnd_exponents(dc: DerivedCoefficients) -> tuple[QuadraticExponent, Quadrati
     cross = 4.0 * (1.0 - dc.kappa1 / dc.kappa4)
     diag = 4.0 * (2.0 * dc.kappa2 / dc.kappa4)
     return (
-        QuadraticExponent(a, np.zeros((4,) + batch)),
-        QuadraticExponent([[diag, cross], [cross, diag]], np.zeros((2,) + batch)),
+        QuadraticExponent(a),
+        QuadraticExponent([[diag, cross], [cross, diag]]),
     )
 
 
@@ -197,8 +178,7 @@ def _herald_probability(dc: DerivedCoefficients, m: int, coeff=None):
     """
     if coeff is None:
         coeff = taylor_coefficient_box(_herald_exponent(dc), (m, m))[m, m]
-    raw = coeff * (float(math.factorial(m)) * math.factorial(m))
-    value = _real_part(raw, "success probability", _PROB_SLACK)
+    value = coeff * (float(math.factorial(m)) * math.factorial(m))
     value = value / (float(math.factorial(m)) * np.sqrt(dc.eps4))
     return _clamp_probability(value, "success probability")
 
@@ -261,10 +241,9 @@ def moment(params: CircuitParams, k: int, l: int) -> complex:
 def variances(params: CircuitParams | CircuitColumns) -> QuadratureVariances:
     """Quadrature variances of the heralded state.
 
-    Assembled from <a†a>, <a†> and <a†²> as
-    Var(X) = <a†a> - |<a†>|² + Re(<a†²> - <a†>²) + 1/2 and Var(P) with the
-    real part subtracted instead. :class:`CircuitColumns` give array
-    fields, one entry per point. p_d and the moments come from one Taylor
+    Var(X), Var(P) = <a†a> ± <a†²> + 1/2: the moment exponent is real with
+    no linear part, so <a†> = 0 and <a†²> is real. :class:`CircuitColumns`
+    give array fields, one entry per point. p_d and the moments come from one Taylor
     box.
     """
     m = params.m
@@ -274,12 +253,9 @@ def variances(params: CircuitParams | CircuitColumns) -> QuadratureVariances:
     _require_heralded(params, pd)
     scale = float(math.factorial(m)) / (pd * np.sqrt(dc.eps4))
     n_mean = box[m, m, 1, 1] * scale
-    adag = box[m, m, 1, 0] * scale
     adag2 = box[m, m, 2, 0] * 2.0 * scale
-    base = n_mean - np.abs(adag) ** 2
-    shift = adag2 - adag**2
-    var_x = _real_part(base + shift + VACUUM_VARIANCE, "Var(X)", _IMAG_TOL)
-    var_p = _real_part(base - shift + VACUUM_VARIANCE, "Var(P)", _IMAG_TOL)
+    var_x = n_mean + adag2 + VACUUM_VARIANCE
+    var_p = n_mean - adag2 + VACUUM_VARIANCE
     return QuadratureVariances(var_x=var_x, var_p=var_p)
 
 
@@ -398,7 +374,7 @@ def _pnd_diagonal(dc: DerivedCoefficients, m: int, n_max: int) -> np.ndarray:
     h = _box(photon, (n_max, n_max))
     # h[n - i, n - j] for n = max(i, j)..n_max starts diagonal i - j of h
     bands = {offset: np.diagonal(h, offset) for offset in range(-k, k + 1)}
-    diagonal = np.zeros(np.shape(dc.eps4) + (n_max + 1,), dtype=complex)
+    diagonal = np.zeros(np.shape(dc.eps4) + (n_max + 1,))
     for i in range(k + 1):
         for j in range(min(k, 2 * m - i) + 1):
             start = max(i, j)
@@ -424,10 +400,9 @@ def _pnd_values(
         )
     m = params.m
     norm = np.asarray(pd * np.sqrt(dc.eps4 * dc.kappa4))[..., None]
-    raw = _real_part(_pnd_diagonal(dc, m, n_max), "P({})", _IMAG_TOL)
     # n! / 4^n undoes the diagonal's 4^n; both are exact in binary
     scales = np.array([math.ldexp(math.factorial(n), -2 * n) for n in range(n_max + 1)])
-    values = raw * float(math.factorial(m)) * scales / norm
+    values = _pnd_diagonal(dc, m, n_max) * float(math.factorial(m)) * scales / norm
     bad = _first(values < -_PND_NEGATIVE_TOL)
     if bad is not None:
         point, n = divmod(bad, n_max + 1)
@@ -541,10 +516,7 @@ def _wigner_values(params: CircuitParams | CircuitColumns, beta: np.ndarray) -> 
     g8 = env_mod * dc.kappa3 * dc.eps8 - 2.0 * env_quad * dc.kappa3 * dc.eps7
     g7 = env_mod * dc.kappa3 * dc.eps7 - 2.0 * env_quad * dc.kappa3 * dc.eps8
 
-    batch = np.shape(pd)
-    quad_box = taylor_coefficient_box(
-        QuadraticExponent([[diag, cross], [cross, diag]], np.zeros((2,) + batch)), (m, m)
-    )
+    quad_box = taylor_coefficient_box(QuadraticExponent([[diag, cross], [cross, diag]]), (m, m))
 
     def per_point(value):
         """A per-point coefficient as a column against the beta axis."""
@@ -660,7 +632,7 @@ def svs_moment(r: float, k: int, l: int) -> complex:
     lam = math.tanh(r)
     denom = 1.0 - lam * lam
     a = np.array([[lam / denom, lam**2 / denom], [lam**2 / denom, lam / denom]])
-    box = taylor_coefficient_box(QuadraticExponent(a, np.zeros(2)), (k, l))
+    box = taylor_coefficient_box(QuadraticExponent(a), (k, l))
     return complex(box[k, l]) * (float(math.factorial(k)) * math.factorial(l))
 
 

@@ -10,9 +10,7 @@ origin. Independent of the recurrence route under test.
 
 from __future__ import annotations
 
-import cmath
-
-Poly = dict[tuple[int, ...], complex]
+Poly = dict[tuple[int, ...], float]
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
@@ -43,7 +41,7 @@ def poly_diff(p: Poly, var: int) -> Poly:
 
 
 def monomials(exponent) -> Poly:
-    """Sparse map from exponent multi-index to coefficient of E - c."""
+    """Sparse map from exponent multi-index to coefficient of E."""
     n = exponent.n_vars
     monos: Poly = {}
 
@@ -53,8 +51,6 @@ def monomials(exponent) -> Poly:
 
     for i in range(n):
         powers = [0] * n
-        powers[i] = 1
-        put(powers, exponent.b[i])
         powers[i] = 2
         put(powers, exponent.a[i, i] / 2.0)
         for j in range(i + 1, n):
@@ -65,7 +61,7 @@ def monomials(exponent) -> Poly:
     return monos
 
 
-def symbolic_derivative(exponent, orders) -> complex:
+def symbolic_derivative(exponent, orders) -> float:
     """Mixed partial of exp(E) at the origin by symbolic differentiation."""
     n = exponent.n_vars
     gradient = [poly_diff(monomials(exponent), var) for var in range(n)]
@@ -75,5 +71,4 @@ def symbolic_derivative(exponent, orders) -> complex:
             prefactor = poly_add(
                 poly_diff(prefactor, var), poly_mul(prefactor, gradient[var])
             )
-    constant = prefactor.get((0,) * n, 0.0)
-    return constant * cmath.exp(exponent.c)
+    return prefactor.get((0,) * n, 0.0)

@@ -54,9 +54,9 @@ def four_variable_pnd(dc, pd, m, n_max):
     a[2:, 2:] = photon.a
     caps = (m, m, n_max, n_max)
     box = obs.taylor_coefficient_box(
-        QuadraticExponent(a, coupling.b), caps, max_total_order=sum(caps)
+        QuadraticExponent(a), caps, max_total_order=sum(caps)
     )
-    raw = np.diagonal(box[m, m]).real
+    raw = np.diagonal(box[m, m])
     norm = np.asarray(pd * np.sqrt(dc.eps4 * dc.kappa4))[..., None]
     scales = np.array([math.factorial(n) / 4.0**n for n in range(n_max + 1)])
     values = raw * float(math.factorial(m)) * scales / norm
@@ -525,19 +525,33 @@ class TestWigner:
                     assert_same_number(g, w)
 
     def test_box_has_only_even_orders(self, monkeypatch):
-        # the Horner pass skips the entries of odd i + j
+        # the Horner pass skips the entries of odd i + j, variances reads no
+        # <a†> = box[m, m, 1, 0] and P(n) sums no odd (i, j) of the coupling
+        # box: every box the observables build is float64 and exactly 0 at
+        # each entry of odd total order
         boxes = []
-        original = obs._wigner_contraction
+        original = obs.taylor_coefficient_box
 
-        def capture(box, b_mu, b_nu):
-            boxes.append(box)
-            return original(box, b_mu, b_nu)
+        def capture(*args, **kwargs):
+            boxes.append(original(*args, **kwargs))
+            return boxes[-1]
 
-        monkeypatch.setattr(obs, "_wigner_contraction", capture)
-        for m in (3, 8):
-            obs.wigner_array(columns_of(heralded(circuit_points(m, count=6))), [0.3], [0.1])
-            i, j = np.indices((m + 1, m + 1))
-            assert np.all(boxes[-1][(i + j) % 2 == 1] == 0)
+        batches = {m: columns_of(heralded(circuit_points(m, count=6))) for m in (3, 8)}
+        monkeypatch.setattr(obs, "taylor_coefficient_box", capture)
+        for m, columns in batches.items():
+            first = len(boxes)
+            obs.wigner_array(columns, [0.3], [0.1])
+            obs.variances(columns)
+            obs.pnd_vector(columns, 20)
+            k = min(2 * m, 20) + 1
+            shapes = [box.shape[:-1] for box in boxes[first:]]
+            # herald and Wigner; moment; herald, P(n) coupling and photon
+            assert shapes == [(m + 1, m + 1), (m + 1, m + 1), (m + 1, m + 1, 3, 3),
+                              (m + 1, m + 1), (m + 1, m + 1, k, k), (21, 21)]
+        for box in boxes:
+            assert box.dtype == np.float64
+            odd = np.indices(box.shape[:-1]).sum(axis=0) % 2 == 1
+            assert np.all(box[odd] == 0)
 
     def test_no_einsum(self, monkeypatch):
         monkeypatch.setattr(np, "einsum", lambda *a, **k: pytest.fail("einsum called"))

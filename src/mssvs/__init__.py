@@ -37,14 +37,12 @@ from .observables import (
     QuadratureVariances,
     SqueezingScan,
     WignerPoint,
-    moment,
     pnd,
     pnd_vector,
     squeezing_threshold,
     squeezing_threshold_scan,
     success_probability,
     svs_mean_photon,
-    svs_moment,
     svs_pnd,
     svs_variances,
     svs_wigner,
@@ -80,14 +78,12 @@ __all__ = [
     "QuadratureVariances",
     "SqueezingScan",
     "WignerPoint",
-    "moment",
     "pnd",
     "pnd_vector",
     "squeezing_threshold",
     "squeezing_threshold_scan",
     "success_probability",
     "svs_mean_photon",
-    "svs_moment",
     "svs_pnd",
     "svs_variances",
     "svs_wigner",

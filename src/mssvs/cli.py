@@ -40,9 +40,13 @@ EXIT_CAP = 3
 
 DEFAULT_SWEEP_CAP = 1_000_000
 
-# Cells of one batched call in a sweep: float64 Taylor-box entries (8 MiB, a
-# 51 x 51 p_d map up to m = 19) or the Wigner kernel's complex ones (16 MiB).
+# Cells of one batched call in a sweep: float64 entries of the p_d arrays or
+# the P(n) boxes (8 MiB) or the Wigner kernel's complex ones (16 MiB).
 _PD_BATCH_CELLS = 1 << 20
+
+# Float64 arrays per row a batched p_d or variances call holds at once at any
+# m: 27 derived coefficients, then the herald sums (37 by tracemalloc).
+_PD_ARRAYS = 38
 
 # Complex (rows x beta) arrays the Wigner kernel holds at once, whatever
 # m is: b_mu, b_nu, b_nu^2 and the two Horner accumulators, plus one for
@@ -275,13 +279,11 @@ _BATCHED = ("variances", "pnd", "wigner")
 
 
 def _cells_per_row(spec: SweepSpec, m: int) -> int:
-    """Cells one row adds to a batched call: its Taylor-box cells, or the
-    Wigner kernel's arrays over the grid and the origin, whichever is
-    largest."""
+    """Cells one row adds to a batched call: its p_d arrays, its Taylor-box
+    cells, or the Wigner kernel's arrays over the grid and the origin,
+    whichever is largest."""
     box = (m + 1) ** 2
-    cells = box
-    if "variances" in spec.observables:
-        cells = max(cells, box * 9)
+    cells = max(_PD_ARRAYS, box)
     if "pnd" in spec.observables:
         k = min(2 * m, spec.pnd_max)
         cells = max(cells, box * (k + 1) ** 2 + (spec.pnd_max + 1) ** 2)
@@ -423,7 +425,7 @@ def _cmd_sweep(args) -> int:
     rows_by_m = {m: np.flatnonzero(ms == m) for m in dict.fromkeys(ms.tolist())}
     pd = np.empty(count)
     for m, rows in rows_by_m.items():
-        for chunk in _chunks(rows, (m + 1) ** 2):
+        for chunk in _chunks(rows, _PD_ARRAYS):
             pd[chunk] = observables.success_probability(batch(chunk, m))
     heralded = pd > 0.0
     batched = [name for name in _BATCHED if name in spec.observables]

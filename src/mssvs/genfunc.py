@@ -1,12 +1,14 @@
 """Derivatives at the origin of exponentials of quadratic forms.
 
-Every observable in this package reduces to evaluating
+P(n) and the Wigner function reduce to evaluating
 
     d^(k1+...+kn) / dx1^k1 ... dxn^kn   exp(E(x)) |_(x=0)
 
 for an exponent E(x) = (1/2) x^T A x with real, symmetric A, the form of
-every generating function of the lossy circuit. The Taylor coefficients
-G[k] of exp(E) obey the multivariate Hermite recurrence
+every generating function of the lossy circuit (p_d and the variances
+sum three coefficients of one directly, in :mod:`mssvs.observables`).
+The Taylor coefficients G[k] of exp(E) obey the multivariate Hermite
+recurrence
 
     (k_i + 1) G[k + e_i] = sum_j A_ij G[k - e_j],
 

@@ -1,17 +1,13 @@
 """Closed-form observables of the heralded photon-subtracted state.
 
-Success probability, normally-ordered moments, quadrature variances,
-photon-number distribution and the Wigner function are all evaluated by
-differentiating exponential-quadratic generating functions built from the
-derived coefficient set of :mod:`mssvs.circuit`, read off genfunc Taylor
-boxes. Every public call evaluates that coefficient set once and shares
-it between p_d and the observable. The photon-number distribution splits
-its exponent in two: a box over (mu, nu, s, t) without the (s, t) block,
-whose (m, m) coefficient is a polynomial of degree at most 2m in (s, t),
-and a box over the (s, t) block alone; P(n) is their convolution along
-the diagonal, with no box of (m + 1)^2 (n + 1)^2 cells. Closed forms for
-the plain squeezed vacuum (the lossless, no-subtraction baseline) live
-here as well.
+Every observable differentiates an exponential-quadratic generating
+function built from the derived coefficient set of :mod:`mssvs.circuit`,
+which each public call evaluates once. p_d and the quadrature variances
+need only three Taylor coefficients of the two-variable herald exponent,
+which an O(m) recurrence sums with no Taylor box; the photon-number
+distribution and the Wigner function are read off genfunc Taylor boxes.
+Closed forms for the plain squeezed vacuum (the lossless, no-subtraction
+baseline) live here as well.
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ from .circuit import (
     derived_coefficients,
 )
 from .errors import (
+    CapacityError,
     ConvergenceError,
     NumericalConsistencyError,
     ParameterDomainError,
@@ -46,8 +43,7 @@ _HEISENBERG_TOL = 1e-10
 PND_TAIL_TOL = 1e-10
 PND_N_CAP = 64
 
-# Largest n with float(n!) finite; P(n) and moments of order beyond it
-# cannot be scaled.
+# Largest n with float(n!) finite; P(n) beyond it cannot be scaled.
 _FACTORIAL_N_MAX = 170
 
 # Squeezing-threshold search: coarse scan from THRESHOLD_R_MIN in steps of
@@ -119,25 +115,6 @@ def _clamp_probability(value, what: str):
     return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
-def _herald_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
-    """Generating exponent in (mu, nu) for the detection probability."""
-    cross = 1.0 - dc.eps1 / dc.eps4
-    diag = 2.0 * dc.eps2 / dc.eps4
-    return QuadraticExponent([[diag, cross], [cross, diag]])
-
-
-def _moment_exponent(dc: DerivedCoefficients) -> QuadraticExponent:
-    """Generating exponent in (mu, nu, f, g) for normally-ordered moments."""
-    a = np.zeros((4, 4) + np.shape(dc.eps4))
-    a[0, 1] = a[1, 0] = 1.0 - dc.eps1 / dc.eps4
-    a[0, 0] = a[1, 1] = 2.0 * dc.eps2 / dc.eps4
-    a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = dc.eps3 * dc.eps7 / dc.eps4
-    a[1, 2] = a[2, 1] = a[0, 3] = a[3, 0] = dc.eps3 * dc.eps8 / dc.eps4
-    a[2, 3] = a[3, 2] = dc.lam**2 * dc.tau1 + dc.eps5 / dc.eps4
-    a[2, 2] = a[3, 3] = dc.lam * dc.tau1 + 2.0 * dc.eps6 / dc.eps4
-    return QuadraticExponent(a)
-
-
 def _pnd_exponents(dc: DerivedCoefficients) -> tuple[QuadraticExponent, QuadraticExponent]:
     """Generating exponent in (mu, nu, s, t) for the photon-number law, split.
 
@@ -169,28 +146,43 @@ def _pnd_exponents(dc: DerivedCoefficients) -> tuple[QuadraticExponent, Quadrati
     )
 
 
-def _herald_probability(dc: DerivedCoefficients, m: int, coeff=None):
-    """p_d from ``coeff``, the (m, m) Taylor coefficient of the herald exponent.
+def _herald_probability(dc: DerivedCoefficients, m: int):
+    """p_d, checked, and H[m, m], H[m-1, m-1], H[m-1, m-1] - H[m-2, m] times m!/s^m.
 
-    Without ``coeff`` the herald exponent's own box supplies it. The moment
-    exponent at f = g = 0 is the herald exponent, so a moment box's
-    [m, m, 0, 0] entry serves as well.
+    H[i, j] = sum_k c^k/k! (d/2)^(a + b)/(a! b!), a = (i - k)/2 and
+    b = (j - k)/2, are the Taylor coefficients of the herald exponent
+    d/2 (mu^2 + nu^2) + c mu nu, d = 2 eps2/eps4 >= c = 1 - eps1/eps4 >= 0.
+    With s = c + d, f(n) = n! H[n, n]/s^n is the chance that the two d/2
+    counts of a trinomial draw of n over the weights (c, d/2, d/2)/s agree,
+    in [0, 1] at any m; delta(n) = f(n - 1) - f(n) keeps the digits of the
+    difference Var(P) needs. Both follow one elementwise recurrence in a
+    fixed order. The entries are f(m), m f(m - 1)/s and m delta(m)/d, with
+    1 for s and d where c = d = 0.
     """
-    if coeff is None:
-        coeff = taylor_coefficient_box(_herald_exponent(dc), (m, m))[m, m]
-    value = coeff * (float(math.factorial(m)) * math.factorial(m))
-    value = value / (float(math.factorial(m)) * np.sqrt(dc.eps4))
-    return _clamp_probability(value, "success probability")
+    c = 1.0 - dc.eps1 / dc.eps4
+    d = 2.0 * dc.eps2 / dc.eps4
+    empty = d == 0.0  # c = 0 there as well
+    s = c + d + empty
+    x, w, z = c / s, (d - c) / s, d / s
+    f_prev, f, delta, power = 0.0, 1.0, 0.0, 1.0
+    # n f(n) = (2n - 1) x f(n - 1) + (n - 1) w f(n - 2),
+    # n delta(n) = z f(n - 1) - (n - 1) w delta(n - 1)
+    for n in range(1, m + 1):
+        delta = (z * f - (n - 1) * w * delta) / n
+        f_prev, f = f, (2 * n - 1) / n * x * f + (n - 1) / n * w * f_prev
+        power = power * s
+    pd = _clamp_probability(f * power / np.sqrt(dc.eps4), "success probability")
+    return pd, (f, m * f_prev / s, m * delta / (d + empty))
 
 
 def success_probability(params: CircuitParams | CircuitColumns) -> float | np.ndarray:
     """Probability that the detection arm registers exactly m photons.
 
     One point gives a float. :class:`CircuitColumns` give an array with
-    one entry per point, from one coefficient evaluation and one Taylor
-    box.
+    one entry per point, from one coefficient evaluation and one pass of
+    the herald sums.
     """
-    pd = _herald_probability(derived_coefficients(params), params.m)
+    pd, _ = _herald_probability(derived_coefficients(params), params.m)
     return float(pd) if isinstance(params, CircuitParams) else pd
 
 
@@ -207,55 +199,31 @@ def _require_heralded(params: CircuitParams | CircuitColumns, pd) -> None:
 def _heralded(params: CircuitParams | CircuitColumns):
     """Derived coefficients and p_d of points whose heralded state exists."""
     dc = derived_coefficients(params)
-    pd = _herald_probability(dc, params.m)
+    pd, _ = _herald_probability(dc, params.m)
     _require_heralded(params, pd)
     return dc, pd
-
-
-def _box(exponent: QuadraticExponent, caps: tuple[int, ...]) -> np.ndarray:
-    """Taylor box without the total-order cap; callers bound each order."""
-    return taylor_coefficient_box(
-        exponent, caps, max_total_order=max(DEFAULT_MAX_TOTAL_ORDER, sum(caps))
-    )
-
-
-def moment(params: CircuitParams, k: int, l: int) -> complex:
-    """Normally-ordered moment <a†^k a^l> of the heralded state."""
-    if k < 0 or l < 0:
-        raise ValueError(f"moment orders must be non-negative, got ({k}, {l})")
-    if max(k, l) > _FACTORIAL_N_MAX:
-        raise ParameterDomainError(
-            f"moment orders above {_FACTORIAL_N_MAX} are out of range (k! overflows "
-            f"a float), got ({k}, {l})"
-        )
-    dc = derived_coefficients(params)
-    m = params.m
-    box = _box(_moment_exponent(dc), (m, m, k, l))
-    pd = _herald_probability(dc, m, box[m, m, 0, 0])
-    _require_heralded(params, pd)
-    coeff = complex(box[m, m, k, l])
-    raw = coeff * math.factorial(m) ** 2 * math.factorial(k) * math.factorial(l)
-    return raw / (math.factorial(m) * pd * math.sqrt(dc.eps4))
 
 
 def variances(params: CircuitParams | CircuitColumns) -> QuadratureVariances:
     """Quadrature variances of the heralded state.
 
-    Var(X), Var(P) = <a†a> ± <a†²> + 1/2: the moment exponent is real with
-    no linear part, so <a†> = 0 and <a†²> is real. :class:`CircuitColumns`
-    give array fields, one entry per point. p_d and the moments come from one Taylor
-    box.
+    With the moment exponent's couplings alpha = eps3 eps7/eps4, beta =
+    eps3 eps8/eps4, A23 and A22, and R1, R2 = H[m-1, m-1], H[m-2, m] over
+    H[m, m]: Var(X), Var(P) = 1/2 + A23 ± A22 + (alpha ± beta)² (R1 ± R2).
+    A point is heralded where H[m, m] > 0, also where p_d underflows.
+    :class:`CircuitColumns` give array fields, one entry per point.
     """
-    m = params.m
     dc = derived_coefficients(params)
-    box = _box(_moment_exponent(dc), (m, m, 2, 2))
-    pd = _herald_probability(dc, m, box[m, m, 0, 0])
-    _require_heralded(params, pd)
-    scale = float(math.factorial(m)) / (pd * np.sqrt(dc.eps4))
-    n_mean = box[m, m, 1, 1] * scale
-    adag2 = box[m, m, 2, 0] * 2.0 * scale
-    var_x = n_mean + adag2 + VACUUM_VARIANCE
-    var_p = n_mean - adag2 + VACUUM_VARIANCE
+    _, (h_mm, h_m1, h_diff) = _herald_probability(dc, params.m)
+    _require_heralded(params, h_mm)
+    alpha = dc.eps3 * dc.eps7 / dc.eps4
+    beta = dc.eps3 * dc.eps8 / dc.eps4
+    a23 = dc.lam * dc.lam * dc.tau1 + dc.eps5 / dc.eps4
+    a22 = dc.lam * dc.tau1 + 2.0 * dc.eps6 / dc.eps4
+    ratio, difference = h_m1 / h_mm, h_diff / h_mm
+    plus, minus = alpha + beta, alpha - beta
+    var_x = VACUUM_VARIANCE + (a23 + a22) + plus * plus * (2.0 * ratio - difference)
+    var_p = VACUUM_VARIANCE + (a23 - a22) + minus * minus * difference
     return QuadratureVariances(var_x=var_x, var_p=var_p)
 
 
@@ -365,13 +333,17 @@ def _pnd_diagonal(dc: DerivedCoefficients, m: int, n_max: int) -> np.ndarray:
     Two small boxes replace one of (m + 1)^2 (n_max + 1)^2 cells. The sum
     is one elementwise pass per (i, j) in a fixed order, so an entry does
     not depend on n_max or on the batch it is computed in. A batch axis
-    comes before the n axis.
+    comes before the n axis. The coupling box has total order 2m, so m
+    above 32 is a ``CapacityError`` before any box is built.
     """
+    if 2 * m > DEFAULT_MAX_TOTAL_ORDER:
+        raise CapacityError(2 * m, DEFAULT_MAX_TOTAL_ORDER)
     coupling, photon = _pnd_exponents(dc)
     k = min(2 * m, n_max)
     # c[i, j] as a column against the n axis
-    c = _box(coupling, (m, m, k, k))[m, m][..., None]
-    h = _box(photon, (n_max, n_max))
+    c = taylor_coefficient_box(coupling, (m, m, k, k), max_total_order=2 * (m + k))
+    c = c[m, m][..., None]
+    h = taylor_coefficient_box(photon, (n_max, n_max), max_total_order=2 * n_max)
     # h[n - i, n - j] for n = max(i, j)..n_max starts diagonal i - j of h
     bands = {offset: np.diagonal(h, offset) for offset in range(-k, k + 1)}
     diagonal = np.zeros(np.shape(dc.eps4) + (n_max + 1,))
@@ -625,15 +597,6 @@ def wigner_quadrature(points: list[WignerPoint], resolution: int) -> float:
 def svs_variances(r: float) -> QuadratureVariances:
     """Quadrature variances of squeezed vacuum: e^{2r}/2 and e^{-2r}/2."""
     return QuadratureVariances(var_x=0.5 * math.exp(2.0 * r), var_p=0.5 * math.exp(-2.0 * r))
-
-
-def svs_moment(r: float, k: int, l: int) -> complex:
-    """Moment <a†^k a^l> of squeezed vacuum via its generating exponent."""
-    lam = math.tanh(r)
-    denom = 1.0 - lam * lam
-    a = np.array([[lam / denom, lam**2 / denom], [lam**2 / denom, lam / denom]])
-    box = taylor_coefficient_box(QuadraticExponent(a), (k, l))
-    return complex(box[k, l]) * (float(math.factorial(k)) * math.factorial(l))
 
 
 def svs_mean_photon(r: float) -> float:

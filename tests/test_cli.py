@@ -270,6 +270,15 @@ class TestThreshold:
         assert document["r_c"] is None
         assert document["status"] == "always-squeezed"
 
+    def test_past_the_taylor_box_cap(self, capsys):
+        # Var(P) needs no Taylor box, so m = 40 is scanned like m = 2
+        code, out, err = run_cli(
+            capsys, "threshold", "--m", "40", "--T", "0.9", "--eta1", "0.05", "--eta2", "0.05",
+            "--r-max", "2", "--no-timestamp",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "always-squeezed"
+
     def test_unscanned_range_is_a_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "threshold", "--m", "1", "--T", "0.9", "--r-max", "-1", "--no-timestamp",
@@ -528,13 +537,20 @@ class TestSweep:
         assert "cap" in err
 
     def test_capacity_error_exits_3(self, tmp_path, capsys):
-        spec = self.write_spec(
-            tmp_path,
+        # p_d at m = 33 needs no Taylor box; P(n) there still needs one of
+        # total order 66, above the cap 64
+        text = (
             "axis.r = 0.5,1\nfixed.eta1 = 0.1\nfixed.eta2 = 0.1\nfixed.T = 0.9\n"
-            "fixed.m = 33\nobservables = prob\n",
+            "fixed.m = 33\nobservables = {}\n"
         )
+        prob_path = tmp_path / "prob.csv"
+        code, out, err = run_cli(capsys, "sweep", self.write_spec(tmp_path, text.format("prob")),
+                                 "-o", str(prob_path), "--no-timestamp")
+        assert (code, err) == (0, "")
+        assert len(self.read_rows(str(prob_path))) == 2
         out_path = tmp_path / "x.csv"
-        code, out, err = run_cli(capsys, "sweep", spec, "-o", str(out_path), "--no-timestamp")
+        code, out, err = run_cli(capsys, "sweep", self.write_spec(tmp_path, text.format("pnd")),
+                                 "-o", str(out_path), "--no-timestamp")
         assert code == 3
         assert out == ""
         assert err.splitlines() == ["error: total derivative order 66 exceeds the cap 64"]
@@ -865,6 +881,20 @@ class TestSweep:
                                    int(values["m"]))
             assert float(row["w_origin"]) == observables.wigner(params, 0.0, 0.0).w
             assert float(row["w_min"]) == observables.wigner_array(params, axis, axis).min()
+
+    @pytest.mark.parametrize("call", ["success_probability", "variances"])
+    def test_pd_chunk_stays_within_the_cell_budget(self, call):
+        # the herald sums hold a fixed number of arrays per row at any m
+        chunk = cli._chunks(np.arange(100_000), cli._PD_ARRAYS)[0]
+        assert len(chunk) == cli._PD_BATCH_CELLS // cli._PD_ARRAYS
+        columns = CircuitColumns(np.linspace(0.2, 1.2, len(chunk)), 0.1, 0.1, 0.9, 40)
+        tracemalloc.start()
+        try:
+            getattr(observables, call)(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._PD_BATCH_CELLS * np.dtype(float).itemsize
 
     def test_wigner_chunk_stays_within_the_cell_budget(self):
         spec = parse_sweep_spec(

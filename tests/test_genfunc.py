@@ -9,9 +9,9 @@ from mssvs import observables as obs
 from mssvs.circuit import CircuitParams, derived_coefficients
 from mssvs.errors import CapacityError
 from mssvs.genfunc import DEFAULT_MAX_TOTAL_ORDER, QuadraticExponent, taylor_coefficient_box
-from mssvs.observables import svs_moment
 
 from conftest import columns_of
+from moment_reference import herald_exponent, moment_exponent
 from symbolic_oracle import symbolic_derivative
 
 
@@ -174,12 +174,12 @@ class TestBatchedBox:
     @pytest.mark.parametrize("m", range(9))
     def test_herald_boxes(self, m):
         dc = derived_coefficients(columns_of(circuit_points(m)))
-        self.assert_matches_reference(obs._herald_exponent(dc), (m, m))
+        self.assert_matches_reference(herald_exponent(dc), (m, m))
 
     @pytest.mark.parametrize("m", range(9))
     def test_moment_boxes(self, m):
         dc = derived_coefficients(columns_of(circuit_points(m, count=10)))
-        self.assert_matches_reference(obs._moment_exponent(dc), (m, m, 2, 2))
+        self.assert_matches_reference(moment_exponent(dc), (m, m, 2, 2))
 
     def test_zero_coefficients_at_some_points(self):
         # a coefficient that is zero at one point but not at another is
@@ -231,8 +231,8 @@ class TestContracts:
         assert value == pytest.approx(math.factorial(40), rel=1e-10)
         # the public observables take no cap, so the message names none
         with pytest.raises(CapacityError) as info:
-            svs_moment(0.5, 40, 30)
-        assert str(info.value) == "total derivative order 70 exceeds the cap 64"
+            obs.pnd_vector(CircuitParams(1.0, 0.1, 0.1, 0.9, 33))
+        assert str(info.value) == "total derivative order 66 exceeds the cap 64"
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
